@@ -12,6 +12,7 @@ failure.
 import argparse
 import os
 import sys
+from dataclasses import fields
 from importlib.metadata import PackageNotFoundError, version as pkg_version
 
 import numpy as np
@@ -21,6 +22,7 @@ from .errors import (
     FormatError,
     NoSelectionError,
     OutOfRangeError,
+    ParameterError,
     SolverFailureError,
     TvTomoError,
 )
@@ -71,20 +73,18 @@ def _write_manifest(out, args, extra):
 def _load_config(args):
     """Solver config from file keys (solver.*) overridden by CLI flags."""
     kv = fileio.read_config(args.config) if getattr(args, "config", None) else {}
-    cfg = SolverConfig()
-    casts = {
-        "tol_primal": float, "tol_dual": float, "tol_gap": float,
-        "max_iterations": int, "eta": float, "centering_exponent": float,
-        "backend": str, "inner_tol": float, "cg_max_iterations": int,
-    }
-    for key, cast in casts.items():
-        if f"solver.{key}" in kv:
-            setattr(cfg, key, cast(kv[f"solver.{key}"]))
-        flag = getattr(args, f"solver_{key}", None)
+    values = {}
+    for f in fields(SolverConfig):
+        key = f"solver.{f.name}"
+        if key in kv:
+            try:
+                values[f.name] = f.type(kv[key])
+            except ValueError as exc:
+                raise ParameterError(f"{key}={kv[key]!r}: {exc}") from exc
+        flag = getattr(args, f"solver_{f.name}", None)
         if flag is not None:
-            setattr(cfg, key, flag)
-    cfg.__post_init__()
-    return cfg, kv
+            values[f.name] = flag
+    return SolverConfig(**values), kv
 
 
 def _geometry_from_args(args, kv=None):

@@ -166,11 +166,15 @@ def read_sweep_csv(path):
     if not rows or rows[0] != ["alpha", "n", "tv", "residual", "iterations", "status"]:
         raise FormatError(f"{path}: bad sweep CSV header", byte_offset=0)
     cells = {}
-    for row in rows[1:]:
-        if len(row) != 6:
-            raise FormatError(f"{path}: malformed sweep row {row!r}")
-        alpha, n = float(row[0]), int(row[1])
-        cells[(alpha, n)] = (float(row[2]), float(row[3]), int(row[4]), row[5])
+    for lineno, row in enumerate(rows[1:], 2):
+        try:
+            alpha, n, t, r, it, st = row
+            key, cell = (float(alpha), int(n)), (float(t), float(r), int(it), st)
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: malformed sweep row {row!r}: {exc}") from exc
+        if key in cells:
+            raise FormatError(f"{path}:{lineno}: second row for alpha={alpha}, n={n}")
+        cells[key] = cell
     alphas = sorted({a for a, _ in cells})
     resolutions = sorted({n for _, n in cells})
     shape = (len(alphas), len(resolutions))

@@ -17,21 +17,22 @@ equality duals leaves an SPD system
 
     (A^T A + diag(d_f) + D_h^T W_h D_h + D_v^T W_v D_v) df = rhs
 
-which is solved exactly (dense Cholesky) on small grids and by
-preconditioned CG on large ones, where the preconditioner is an exact
-sparse factorization of the banded part G + diag(A^T A); the full A^T A
-is only ever applied matrix-free as f -> A^T (A f).
+solved by a backend chosen once per solve: dense Cholesky for N <= 1024
+pixels, else CG preconditioned by an exact splu factorization of the banded part
+G + diag(A^T A), with A^T A applied matrix-free as f -> A^T (A f).
+SolverConfig is frozen; out-of-range values raise ParameterError (CLI exit 2).
 """
 
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import SolverFailureError
+from .errors import ParameterError, SolverFailureError
 from .grid import ImageGrid, build_difference_operators
 from .qp import QpProblem, build_qp
 
@@ -48,7 +49,7 @@ __all__ = [
 _NEGATIVE_CLAMP = -1e-12
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     tol_primal: float = 1e-8
     tol_dual: float = 1e-8
@@ -61,12 +62,15 @@ class SolverConfig:
     cg_max_iterations: int = 2000
 
     def __post_init__(self):
-        if min(self.tol_primal, self.tol_dual, self.tol_gap) <= 0:
-            raise ValueError("tolerances must be positive")
+        tolerances = (self.tol_primal, self.tol_dual, self.tol_gap, self.inner_tol)
+        if not all(0 < t < np.inf for t in tolerances):
+            raise ParameterError("tolerances must be positive and finite")
         if not 0.0 < self.eta < 1.0:
-            raise ValueError("fraction-to-boundary parameter must be in (0, 1)")
+            raise ParameterError("fraction-to-boundary parameter must be in (0, 1)")
         if self.backend not in ("auto", "dense", "cg"):
-            raise ValueError(f"unknown linear backend {self.backend!r}")
+            raise ParameterError(f"unknown linear backend {self.backend!r}")
+        if self.max_iterations < 0 or self.cg_max_iterations < 1:
+            raise ParameterError("iteration caps must be >= 0 (outer) and >= 1 (CG)")
 
 
 @dataclass
@@ -141,7 +145,6 @@ class _GenericNewton:
     """Dense factorization of the reduced saddle system."""
 
     def __init__(self, problem, z, x_tilde):
-        self.problem = problem
         self.diag = x_tilde / z
         nz, ny = problem.z_dim, problem.y_dim
         Q = np.asarray(problem.Q, dtype=float) if not sp.issparse(problem.Q) else problem.Q.toarray()
@@ -150,7 +153,6 @@ class _GenericNewton:
         K[:nz, :nz] = -(Q + np.diag(self.diag))
         K[:nz, nz:] = B.T
         K[nz:, :nz] = B
-        self._lu = None
         self._K = K
         self.nz, self.ny = nz, ny
 
@@ -171,87 +173,28 @@ class _TvNewton:
 
     With d = x~/z split into blocks (d_f, d_hp, d_hm, d_vp, d_vm) and
     harmonic weights w = 1/(1/d+ + 1/d-), all split variables and equality
-    duals reduce to closed forms around the image-block SPD solve.
+    duals reduce to closed forms around the image-block SPD solve, which
+    `factor` (see _image_block_factorizer) prepares for this iterate.
     """
 
-    def __init__(self, problem, z, x_tilde, backend, inner_tol, cg_max_iterations,
-                 cache=None):
-        self.problem = problem
-        self.N = problem.N
-        self.diag = x_tilde / z
-        N = self.N
-        d = self.diag
+    def __init__(self, problem, z, x_tilde, factor):
+        self.ops = ops = problem.ops
+        self.N = N = problem.N
+        self.diag = d = x_tilde / z
         self.d_f = d[:N]
         self.d_hp, self.d_hm = d[N : 2 * N], d[2 * N : 3 * N]
         self.d_vp, self.d_vm = d[3 * N : 4 * N], d[4 * N : 5 * N]
         self.w_h = 1.0 / (1.0 / self.d_hp + 1.0 / self.d_hm)
         self.w_v = 1.0 / (1.0 / self.d_vp + 1.0 / self.d_vm)
-        self.backend = backend
-        self.inner_tol = inner_tol
-        self.cg_max_iterations = cg_max_iterations
-        cache = cache if cache is not None else {}
-
-        ops = problem.ops
-        A = problem.A.matrix
         G = (
             sp.diags(self.d_f)
             + ops.d_h.T @ sp.diags(self.w_h) @ ops.d_h
             + ops.d_v.T @ sp.diags(self.w_v) @ ops.d_v
         ).tocsr()
-        self._G = G
-        self._A = A
-        if backend == "dense":
-            if "ata_dense" not in cache:
-                cache["ata_dense"] = (A.T @ A).toarray()
-            K = cache["ata_dense"] + G.toarray()
-            try:
-                self._chol = la.cho_factor(K)
-            except la.LinAlgError:
-                # K is positive definite in exact arithmetic but roundoff can
-                # make it indefinite when the barrier weights span ~16 orders
-                # of magnitude; a relative jitter restores factorability
-                jitter = 1e-14 * np.trace(K) / K.shape[0]
-                try:
-                    self._chol = la.cho_factor(K + jitter * np.eye(K.shape[0]))
-                except la.LinAlgError as exc:
-                    raise SolverFailureError(
-                        f"dense factorization failed: {exc}") from exc
-        else:
-            if "ata_diag" not in cache:
-                cache["ata_diag"] = np.asarray(A.multiply(A).sum(axis=0)).ravel()
-            # exact factorization of the banded part; A^T A enters the
-            # preconditioner only through its diagonal
-            P = (G + sp.diags(cache["ata_diag"])).tocsc()
-            try:
-                self._pre_lu = spla.splu(P)
-            except RuntimeError as exc:
-                raise SolverFailureError(f"preconditioner factorization failed: {exc}") from exc
-
-    def _solve_image_block(self, rhs):
-        if self.backend == "dense":
-            return la.cho_solve(self._chol, rhs)
-        A, G = self._A, self._G
-
-        def matvec(v):
-            return A.T @ (A @ v) + G @ v
-
-        op = spla.LinearOperator((self.N, self.N), matvec=matvec)
-        pre = spla.LinearOperator((self.N, self.N), matvec=self._pre_lu.solve)
-        sol, info = spla.cg(
-            op, rhs, rtol=self.inner_tol, atol=0.0,
-            maxiter=self.cg_max_iterations, M=pre,
-        )
-        if info > 0:
-            # accept the iterate; the caller verifies the overall residual
-            warnings.warn(f"inner CG hit the iteration cap ({info})")
-        elif info < 0:
-            raise SolverFailureError(f"inner CG breakdown (info={info})")
-        return sol
+        self._solve_image_block = factor(G)
 
     def solve(self, p1, p2, p3):
-        N = self.N
-        problem = self.problem
-        ops = problem.ops
+        N, ops = self.N, self.ops
         r1 = p1 - self.diag * p3
         r1_f = r1[:N]
         r1_hp, r1_hm = r1[N : 2 * N], r1[2 * N : 3 * N]
@@ -279,27 +222,85 @@ class _TvNewton:
 _DENSE_MAX_N = 1024  # pixels; n <= 32
 
 
-def _make_newton(problem, z, x_tilde, config, cache=None):
+def _image_block_factorizer(problem, config):
+    """Choose the image-block backend (auto: dense iff N <= _DENSE_MAX_N) and
+    compute its A^T A term once; return factor(G) -> solve(rhs)."""
+    A, N = problem.A.matrix, problem.N
+    backend = config.backend
+    if backend == "auto":
+        backend = "dense" if N <= _DENSE_MAX_N else "cg"
+
+    if backend == "dense":
+        ata = (A.T @ A).toarray()
+
+        def factor_dense(G):
+            K = ata + G.toarray()
+            try:
+                chol = la.cho_factor(K)
+            except la.LinAlgError:
+                # K is positive definite in exact arithmetic but roundoff can
+                # make it indefinite when the barrier weights span ~16 orders
+                # of magnitude; a relative jitter restores factorability
+                jitter = 1e-14 * np.trace(K) / K.shape[0]
+                try:
+                    chol = la.cho_factor(K + jitter * np.eye(K.shape[0]))
+                except la.LinAlgError as exc:
+                    raise SolverFailureError(
+                        f"dense factorization failed: {exc}") from exc
+            return lambda rhs: la.cho_solve(chol, rhs)
+
+        return factor_dense
+
+    ata_diag = np.asarray(A.multiply(A).sum(axis=0)).ravel()
+
+    def factor_cg(G):
+        # A^T A enters the preconditioner only through its diagonal
+        try:
+            pre_lu = spla.splu((G + sp.diags(ata_diag)).tocsc())
+        except RuntimeError as exc:
+            raise SolverFailureError(f"preconditioner factorization failed: {exc}") from exc
+        # an explicit dtype spares LinearOperator a probing matvec
+        op = spla.LinearOperator((N, N), matvec=lambda v: A.T @ (A @ v) + G @ v, dtype=float)
+        pre = spla.LinearOperator((N, N), matvec=pre_lu.solve, dtype=float)
+
+        def solve(rhs):
+            sol, info = spla.cg(
+                op, rhs, rtol=config.inner_tol, atol=0.0,
+                maxiter=config.cg_max_iterations, M=pre,
+            )
+            if info > 0:
+                # accept the iterate; the caller verifies the overall residual
+                warnings.warn(f"inner CG hit the iteration cap ({info})")
+            elif info < 0:
+                raise SolverFailureError(f"inner CG breakdown (info={info})")
+            return sol
+
+        return solve
+
+    return factor_cg
+
+
+def _newton_builder(problem, config):
+    """(z, x~) -> Newton solver at that iterate, with the backend fixed here."""
     if isinstance(problem, QpProblem):
-        backend = config.backend
-        if backend == "auto":
-            backend = "dense" if problem.N <= _DENSE_MAX_N else "cg"
-        return _TvNewton(
-            problem, z, x_tilde, backend, config.inner_tol,
-            config.cg_max_iterations, cache=cache,
-        )
-    return _GenericNewton(problem, z, x_tilde)
+        return partial(_TvNewton, problem, factor=_image_block_factorizer(problem, config))
+    return partial(_GenericNewton, problem)
 
 
-def _reduced_residual(problem, diag, dz, dy, r1, r2):
+def _check_newton_residual(problem, newton, dz, dy, p1, p2, p3, limit):
+    """Raise SolverFailureError if the reduced system's relative residual > limit."""
+    diag = newton.diag
+    r1 = p1 - diag * p3
     res1 = -(problem.apply_Q(dz) + diag * dz) + np.asarray(problem.B.T @ dy) - r1
-    res2 = np.asarray(problem.B @ dz) - r2
+    res2 = np.asarray(problem.B @ dz) - p2
     num = np.sqrt(np.linalg.norm(res1) ** 2 + np.linalg.norm(res2) ** 2)
-    den = 1.0 + np.sqrt(np.linalg.norm(r1) ** 2 + np.linalg.norm(r2) ** 2)
-    return num / den
+    den = 1.0 + np.sqrt(np.linalg.norm(r1) ** 2 + np.linalg.norm(p2) ** 2)
+    rel = num / den
+    if not np.isfinite(rel) or rel > limit:
+        raise SolverFailureError(f"Newton solve residual {rel:.3e} above tolerance", residual=rel)
 
 
-def solve_newton_system(problem, state, rhs, config=None, check_residual=True):
+def solve_newton_system(problem, state, rhs, config=None):
     """Solve the reduced KKT system for one rhs triple (p1, p2, p3).
 
     Returns (dz, dy, dx~) with dx~ recovered by back-substitution.  Raises
@@ -308,14 +309,10 @@ def solve_newton_system(problem, state, rhs, config=None, check_residual=True):
     """
     config = config or SolverConfig()
     p1, p2, p3 = (np.asarray(v, dtype=float) for v in rhs)
-    newton = _make_newton(problem, state.z, state.x_tilde, config)
+    newton = _newton_builder(problem, config)(state.z, state.x_tilde)
     dz, dy, dx = newton.solve(p1, p2, p3)
-    if check_residual:
-        rel = _reduced_residual(problem, newton.diag, dz, dy, p1 - newton.diag * p3, p2)
-        if not np.isfinite(rel) or rel > max(config.inner_tol * 100, 1e-8):
-            raise SolverFailureError(
-                f"Newton solve residual {rel:.3e} above tolerance", residual=rel
-            )
+    _check_newton_residual(problem, newton, dz, dy, p1, p2, p3,
+                           max(config.inner_tol * 100, 1e-8))
     return dz, dy, dx
 
 
@@ -343,7 +340,7 @@ def pdip_solve(problem, config=None):
     norm_c = 1.0 + np.linalg.norm(c)
 
     history = []
-    cache = {}  # per-solve reusables (A^T A dense block / diagonal)
+    new_newton = _newton_builder(problem, config)
     reason = "max_iterations"
     mu = z @ x / nz
     r_primal = r_dual = np.inf
@@ -373,7 +370,7 @@ def pdip_solve(problem, config=None):
         p2 = -r_primal_vec  # b - Bz
 
         try:
-            newton = _make_newton(problem, z, x, config, cache=cache)
+            newton = new_newton(z, x)
             # predictor: mu = 0, no second-order term
             dz_a, dy_a, dx_a = newton.solve(p1, p2, -z)
             a_p = min(1.0, _step_to_boundary(z, dz_a))
@@ -383,11 +380,8 @@ def pdip_solve(problem, config=None):
             # corrector with Mehrotra second-order term
             p3 = sigma * mu / x - z - dz_a * dx_a / x
             dz, dy, dx = newton.solve(p1, p2, p3)
-            rel = _reduced_residual(problem, newton.diag, dz, dy, p1 - newton.diag * p3, p2)
-            if not np.isfinite(rel) or rel > max(config.inner_tol * 1e3, 1e-6):
-                raise SolverFailureError(
-                    f"Newton solve residual {rel:.3e} above tolerance", residual=rel
-                )
+            _check_newton_residual(problem, newton, dz, dy, p1, p2, p3,
+                                   max(config.inner_tol * 1e3, 1e-6))
         except SolverFailureError as exc:
             exc.report = ConvergenceReport(
                 iterations=it, reason="solver_failure", r_primal=r_primal,

@@ -41,7 +41,7 @@ class SweepTable:
     """(alpha, resolution) grid of TV norms and data residuals.
 
     Failed or missing cells are NaN; selection rules reject tables with
-    NaN cells inside the range they need.
+    NaN or not-converged cells inside the range they need.
     """
 
     alphas: np.ndarray
@@ -76,12 +76,12 @@ class SweepTable:
             raise ResolutionMismatchError(f"resolution {n} not in table {self.resolutions}")
         return self.resolutions.index(n)
 
-    def require_complete(self, cols=None):
-        sub = self.tv if cols is None else self.tv[:, cols]
-        if np.any(np.isnan(sub)):
+    def require_complete(self, cols=slice(None)):
+        bad = np.isnan(self.tv) | (self.status != "converged")
+        if np.any(bad[:, cols]):
             raise NoSelectionError(
-                "sweep table has absent cells in the requested range",
-                diagnostics={"missing": np.argwhere(np.isnan(self.tv))},
+                "sweep table has absent or not-converged cells in the requested range",
+                diagnostics={"rejected": np.argwhere(bad)},
             )
 
 

@@ -161,6 +161,18 @@ class TestConfigMerging:
         # two iterations cannot converge: solver failure exit code
         assert code == 3
 
+    def test_bad_solver_values_are_usage_errors(self, tmp_path):
+        assert run(tmp_path, "phantom", "--kind", "disc", "--n", "8") == 0
+        assert run(tmp_path, "project", "--image", str(tmp_path / "phantom.img"),
+                   "--angles", "12", "--detectors", "12") == 0
+        cfg = tmp_path / "bad.cfg"
+        for line in ("solver.eta=2", "solver.max_iterations=abc"):
+            cfg.write_text(line + "\n")
+            code = run(tmp_path, "reconstruct", "--sino", str(tmp_path / "sinogram.sino"),
+                       "--n", "8", "--alpha", "0.1", "--config", str(cfg),
+                       "--angles", "12", "--detectors", "12")
+            assert code == 2, line
+
     def test_cli_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("solver.max_iterations=2\n")
@@ -172,3 +184,21 @@ class TestConfigMerging:
                    "--solver-max-iterations", "100",
                    "--angles", "12", "--detectors", "12")
         assert code == 0
+
+
+class TestSweepTableInput:
+    def test_unconverged_cells_are_not_selected(self, tmp_path):
+        # equal TV columns: every row is stable, so only the status can reject
+        table = tv.SweepTable(
+            alphas=[0.1, 1.0], resolutions=[8, 16], tv=np.ones((2, 2)),
+            residual=np.ones((2, 2)), status=np.full((2, 2), "max_iterations", dtype=object),
+        )
+        path = tmp_path / "sweep.csv"
+        tv.write_sweep_csv(path, table)
+        assert run(tmp_path, "select", "--table", str(path), "--method", "multires") == 4
+
+    def test_malformed_table_is_usage_error(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        path.write_text("alpha,n,tv,residual,iterations,status\n0.1,8,abc,1.0,3,converged\n")
+        assert run(tmp_path, "select", "--table", str(path), "--method", "multires") == 2
+        assert run(tmp_path, "report", "--table", str(path)) == 2

@@ -208,6 +208,24 @@ class TestSweepCsv:
         with pytest.raises(FormatError):
             tv.read_sweep_csv(path)
 
+    HEADER = "alpha,n,tv,residual,iterations,status\n"
+    ROW = ["0.1", "8", "1.5", "0.25", "12", "converged"]
+
+    @pytest.mark.parametrize("field", range(5))
+    def test_non_numeric_field_names_line(self, tmp_path, field):
+        bad = list(self.ROW)
+        bad[field] = "abc"
+        path = tmp_path / "sweep.csv"
+        path.write_text(self.HEADER + ",".join(self.ROW) + "\n" + ",".join(bad) + "\n")
+        with pytest.raises(FormatError, match=r"sweep\.csv:3: malformed sweep row"):
+            tv.read_sweep_csv(path)
+
+    def test_duplicate_cell_rejected(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        path.write_text(self.HEADER + (",".join(self.ROW) + "\n") * 2)
+        with pytest.raises(FormatError, match=r"sweep\.csv:3: second row for alpha=0\.1, n=8"):
+            tv.read_sweep_csv(path)
+
 
 class TestPhantomAndConfigFiles:
     def test_disc_round_trip(self, tmp_path):

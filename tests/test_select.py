@@ -256,6 +256,15 @@ class TestRunSweep:
         # larger alpha never increases TV within a column
         assert np.all(table.tv[1] <= table.tv[0] + 1e-8)
 
+    def test_parallel_sweep_matches_serial(self, small_geom):
+        phantom = tv.render_phantom(tv.Phantom.disc(r=0.3), 16)
+        g = tv.forward_project(tv.assemble_system_matrix(small_geom, 16), phantom)
+        grid = dict(alphas=[0.01, 0.1, 1.0], resolutions=[8, 16])
+        serial = tv.run_sweep(small_geom, g, jobs=1, **grid)
+        parallel = tv.run_sweep(small_geom, g, jobs=2, **grid)
+        for name in ("tv", "residual", "iterations", "status"):
+            np.testing.assert_array_equal(getattr(parallel, name), getattr(serial, name))
+
     def test_column_lookup_errors(self):
         table = make_table(TV_LOW_NOISE)
         with pytest.raises(tv.ResolutionMismatchError):
