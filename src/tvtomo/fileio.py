@@ -170,6 +170,8 @@ def read_sweep_csv(path):
         try:
             alpha, n, t, r, it, st = row
             key, cell = (float(alpha), int(n)), (float(t), float(r), int(it), st)
+            if not np.isfinite(key[0]):
+                raise ValueError(f"alpha {alpha!r} is not finite")
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: malformed sweep row {row!r}: {exc}") from exc
         if key in cells:

@@ -259,11 +259,10 @@ def _image_block_factorizer(problem, config):
             pre_lu = spla.splu((G + sp.diags(ata_diag)).tocsc())
         except RuntimeError as exc:
             raise SolverFailureError(f"preconditioner factorization failed: {exc}") from exc
-        # an explicit dtype spares LinearOperator a probing matvec
-        op = spla.LinearOperator((N, N), matvec=lambda v: A.T @ (A @ v) + G @ v, dtype=float)
-        pre = spla.LinearOperator((N, N), matvec=pre_lu.solve, dtype=float)
 
         def solve(rhs):
+            op = spla.LinearOperator((N, N), matvec=lambda v: A.T @ (A @ v) + G @ v)
+            pre = spla.LinearOperator((N, N), matvec=pre_lu.solve)
             sol, info = spla.cg(
                 op, rhs, rtol=config.inner_tol, atol=0.0,
                 maxiter=config.cg_max_iterations, M=pre,

@@ -220,6 +220,14 @@ class TestSweepCsv:
         with pytest.raises(FormatError, match=r"sweep\.csv:3: malformed sweep row"):
             tv.read_sweep_csv(path)
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+    def test_non_finite_alpha_names_line(self, tmp_path, alpha):
+        bad = [alpha] + self.ROW[1:]
+        path = tmp_path / "sweep.csv"
+        path.write_text(self.HEADER + ",".join(self.ROW) + "\n" + ",".join(bad) + "\n")
+        with pytest.raises(FormatError, match=r"sweep\.csv:3: malformed sweep row"):
+            tv.read_sweep_csv(path)
+
     def test_duplicate_cell_rejected(self, tmp_path):
         path = tmp_path / "sweep.csv"
         path.write_text(self.HEADER + (",".join(self.ROW) + "\n") * 2)
