@@ -70,46 +70,49 @@ def _write_manifest(out, args, extra):
     fileio.write_config(os.path.join(out, "manifest.txt"), entries)
 
 
-def _load_config(args):
-    """Solver config from file keys (solver.*) overridden by CLI flags."""
-    kv = fileio.read_config(args.config) if getattr(args, "config", None) else {}
+_SECTIONS = {"solver": SolverConfig, "geometry": ScanGeometry}
+
+
+def _config_keys(args):
+    """The ``--config`` file's keys, each ``<section>.<field>`` of ``_SECTIONS``."""
+    if not args.config:
+        return {}
+    kv = fileio.read_config(args.config)
+    # geometry.angles is no key: an angle array cannot be cast from text
+    known = {f"{section}.{f.name}" for section, cls in _SECTIONS.items()
+             for f in fields(cls) if f.name != "angles"}
+    unknown = sorted(set(kv) - known)
+    if unknown:
+        raise ParameterError(f"{args.config}: unknown config keys {', '.join(unknown)}")
+    return kv
+
+
+def _from_args(section, args, kv):
+    """Build a section's dataclass: flag ``args.<section>_<field>`` over the
+    ``<section>.<field>`` config key over the dataclass default."""
+    cls = _SECTIONS[section]
     values = {}
-    for f in fields(SolverConfig):
-        key = f"solver.{f.name}"
+    for f in fields(cls):
+        key = f"{section}.{f.name}"
         if key in kv:
             try:
                 values[f.name] = f.type(kv[key])
             except ValueError as exc:
                 raise ParameterError(f"{key}={kv[key]!r}: {exc}") from exc
-        flag = getattr(args, f"solver_{f.name}", None)
+        flag = getattr(args, f"{section}_{f.name}", None)
         if flag is not None:
             values[f.name] = flag
-    return SolverConfig(**values), kv
+    return cls(**values)
 
 
-def _geometry_from_args(args, kv=None):
-    kv = kv or {}
-    get = lambda flag, key, cast, default: (
-        flag if flag is not None else cast(kv[key]) if key in kv else default
-    )
-    mode = get(getattr(args, "mode", None), "geometry.mode", str, "parallel")
-    num_angles = get(getattr(args, "angles", None), "geometry.num_angles", int, 90)
-    detectors = get(getattr(args, "detectors", None), "geometry.num_detector_pixels", int, 96)
-    extent = get(getattr(args, "extent", None), "geometry.detector_extent", float, float(np.sqrt(2)))
-    kwargs = dict(
-        mode=mode, num_angles=num_angles,
-        num_detector_pixels=detectors, detector_extent=extent,
-    )
-    if mode == "fan":
-        kwargs["source_radius"] = get(
-            getattr(args, "source_radius", None), "geometry.source_radius", float, None)
-        kwargs["detector_radius"] = get(
-            getattr(args, "detector_radius", None), "geometry.detector_radius", float, None)
-    return ScanGeometry(**kwargs)
+def _comma_list(cast):
+    """argparse type for comma-separated ``cast`` values; a bad one is a usage error."""
+    parse = lambda text: [cast(x) for x in text.split(",")]
+    parse.__name__ = f"comma-separated {cast.__name__}"  # argparse names it in the error
+    return parse
 
 
 def _add_solver_flags(p):
-    p.add_argument("--config", help="key-value config file (solver.*, geometry.*)")
     p.add_argument("--solver-tol-primal", dest="solver_tol_primal", type=float)
     p.add_argument("--solver-tol-dual", dest="solver_tol_dual", type=float)
     p.add_argument("--solver-tol-gap", dest="solver_tol_gap", type=float)
@@ -118,12 +121,13 @@ def _add_solver_flags(p):
 
 
 def _add_geometry_flags(p):
-    p.add_argument("--mode", choices=["parallel", "fan"])
-    p.add_argument("--angles", type=int, help="number of projection angles")
-    p.add_argument("--detectors", type=int, help="detector pixels per angle")
-    p.add_argument("--extent", type=float, help="detector extent in domain units")
-    p.add_argument("--source-radius", type=float)
-    p.add_argument("--detector-radius", type=float)
+    p.add_argument("--config", help="key-value config file (solver.*, geometry.*)")
+    p.add_argument("--mode", dest="geometry_mode", choices=["parallel", "fan"])
+    p.add_argument("--angles", dest="geometry_num_angles", type=int, help="projection angles")
+    p.add_argument("--detectors", dest="geometry_num_detector_pixels", type=int, help="per angle")
+    p.add_argument("--extent", dest="geometry_detector_extent", type=float, help="domain units")
+    p.add_argument("--source-radius", dest="geometry_source_radius", type=float)
+    p.add_argument("--detector-radius", dest="geometry_detector_radius", type=float)
 
 
 def _build_parser():
@@ -147,7 +151,6 @@ def _build_parser():
     p.add_argument("--image", required=True)
     p.add_argument("--name", default="sinogram")
     _add_geometry_flags(p)
-    p.add_argument("--config")
 
     p = sub.add_parser("noise", help="add reproducible Gaussian noise to a sinogram")
     p.add_argument("--sino", required=True)
@@ -165,8 +168,10 @@ def _build_parser():
 
     p = sub.add_parser("sweep", help="reconstruct over an (alpha, resolution) grid")
     p.add_argument("--sino", required=True)
-    p.add_argument("--alphas", help="comma-separated alphas (default decades 1e-4..1e6)")
-    p.add_argument("--resolutions", required=True, help="comma-separated n values")
+    p.add_argument("--alphas", type=_comma_list(float), default=_DEFAULT_ALPHAS,
+                   help="comma-separated alphas (default decades 1e-4..1e6)")
+    p.add_argument("--resolutions", type=_comma_list(int), required=True,
+                   help="comma-separated n values")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--name", default="sweep")
     _add_geometry_flags(p)
@@ -180,7 +185,6 @@ def _build_parser():
     p.add_argument("--prior", nargs="*", help="prior image files (scurve)")
     p.add_argument("--sino", help="measured sinogram (scurve prior scaling)")
     _add_geometry_flags(p)
-    p.add_argument("--config")
 
     p = sub.add_parser("report", help="render a sweep table with stable rows marked")
     p.add_argument("--table", required=True)
@@ -195,13 +199,11 @@ def _cmd_phantom(args, out):
     elif args.kind == "shells":
         if not args.shells:
             raise FormatError("--shells required for kind=shells")
-        shells = [tuple(float(x) for x in part.split(":")) for part in args.shells.split(",")]
-        phantom = Phantom.nested_shells(shells)
+        phantom = Phantom.nested_shells(fileio.parse_pairs(args.shells))
     else:
         if not args.vertices:
             raise FormatError("--vertices required for kind=polygon")
-        verts = [tuple(float(x) for x in part.split(":")) for part in args.vertices.split(",")]
-        phantom = Phantom.polygon(verts, value=args.value)
+        phantom = Phantom.polygon(fileio.parse_pairs(args.vertices), value=args.value)
     img = render_phantom(phantom, args.n)
     img_path = os.path.join(out, f"{args.name}.img")
     fileio.write_image(img_path, img)
@@ -217,8 +219,7 @@ def _cmd_phantom(args, out):
 
 def _cmd_project(args, out):
     img = fileio.read_image(args.image)
-    kv = fileio.read_config(args.config) if args.config else {}
-    geom = _geometry_from_args(args, kv)
+    geom = _from_args("geometry", args, _config_keys(args))
     A = assemble_system_matrix(geom, img.n)
     sino = forward_project(A, img)
     path = os.path.join(out, f"{args.name}.sino")
@@ -248,8 +249,8 @@ def _cmd_noise(args, out):
 
 
 def _cmd_reconstruct(args, out):
-    cfg, kv = _load_config(args)
-    geom = _geometry_from_args(args, kv)
+    kv = _config_keys(args)
+    cfg, geom = _from_args("solver", args, kv), _from_args("geometry", args, kv)
     sino = fileio.read_sinogram(args.sino, geometry=geom)
     A = assemble_system_matrix(geom, args.n)
     img, report = reconstruct(A, sino, args.alpha, config=cfg)
@@ -278,13 +279,10 @@ def _cmd_reconstruct(args, out):
 
 
 def _cmd_sweep(args, out):
-    cfg, kv = _load_config(args)
-    geom = _geometry_from_args(args, kv)
+    kv = _config_keys(args)
+    cfg, geom = _from_args("solver", args, kv), _from_args("geometry", args, kv)
     sino = fileio.read_sinogram(args.sino, geometry=geom)
-    alphas = ([float(a) for a in args.alphas.split(",")] if args.alphas
-              else _DEFAULT_ALPHAS)
-    resolutions = [int(r) for r in args.resolutions.split(",")]
-    table = run_sweep(geom, sino, alphas, resolutions, config=cfg, jobs=args.jobs)
+    table = run_sweep(geom, sino, args.alphas, args.resolutions, config=cfg, jobs=args.jobs)
     path = os.path.join(out, f"{args.name}.csv")
     fileio.write_sweep_csv(path, table)
     _write_manifest(out, args, {
@@ -304,8 +302,7 @@ def _cmd_select(args, out):
     elif args.method == "scurve":
         if not args.prior or not args.sino:
             raise FormatError("select --method scurve needs --prior files and --sino")
-        kv = fileio.read_config(args.config) if args.config else {}
-        geom = _geometry_from_args(args, kv)
+        geom = _from_args("geometry", args, _config_keys(args))
         sino = fileio.read_sinogram(args.sino, geometry=geom)
         priors = [fileio.read_image(p) for p in args.prior]
         A = assemble_system_matrix(geom, n)

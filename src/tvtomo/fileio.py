@@ -24,7 +24,7 @@ __all__ = [
     "write_sweep_csv", "read_sweep_csv",
     "write_curve_csv", "write_diagnostics_csv",
     "write_phantom_file", "read_phantom_file",
-    "read_config", "write_config",
+    "read_config", "write_config", "parse_pairs",
 ]
 
 _IMG_MAGIC = b"TVTOMO-IMG"
@@ -36,6 +36,15 @@ def _read_header_line(raw, path):
     if nl < 0:
         raise FormatError(f"{path}: missing header line terminator", byte_offset=len(raw))
     return raw[:nl], nl + 1
+
+
+def _text_lines(path, newline=None):
+    """The lines of a text file; bytes that do not decode are a FormatError."""
+    try:
+        with open(path, newline=newline) as fh:
+            return list(fh)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not a text file ({exc.reason})") from exc
 
 
 def write_image(path, img):
@@ -56,6 +65,8 @@ def read_image(path):
         n = int(parts[1])
     except ValueError:
         raise FormatError(f"{path}: non-integer grid size {parts[1]!r}", byte_offset=len(_IMG_MAGIC) + 1)
+    if n < 1:
+        raise FormatError(f"{path}: grid size {n} is not positive", byte_offset=len(_IMG_MAGIC) + 1)
     expected = n * n * 8
     payload = raw[offset:]
     if len(payload) != expected:
@@ -161,8 +172,7 @@ def write_sweep_csv(path, table):
 
 
 def read_sweep_csv(path):
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = list(csv.reader(_text_lines(path, newline="")))
     if not rows or rows[0] != ["alpha", "n", "tv", "residual", "iterations", "status"]:
         raise FormatError(f"{path}: bad sweep CSV header", byte_offset=0)
     cells = {}
@@ -240,24 +250,40 @@ def write_phantom_file(path, phantom):
         fh.write("\n".join(lines) + "\n")
 
 
+def parse_pairs(text):
+    """Parse ``x1:y1,x2:y2,...`` into a list of float pairs."""
+    pairs = []
+    for part in text.split(","):
+        try:
+            x, y = (float(v) for v in part.split(":"))
+        except ValueError as exc:
+            raise FormatError(f"expected a number pair x:y, got {part!r}") from exc
+        pairs.append((x, y))
+    return pairs
+
+
 def read_phantom_file(path):
     kv = read_config(path)
+
+    def get(key, cast=float, default=None):
+        if key not in kv and default is None:
+            raise FormatError(f"{path}: missing key {key!r}")
+        try:
+            return cast(kv.get(key, default))
+        except ValueError as exc:
+            raise FormatError(f"{path}: bad value {key}={kv[key]!r}: {exc}") from exc
+
     kind = kv.get("kind")
     if kind == "disc":
         return Phantom.disc(
-            r=float(kv["r"]), value=float(kv["value"]),
-            center=(float(kv.get("cx", 0.5)), float(kv.get("cy", 0.5))),
+            r=get("r"), value=get("value"), center=(get("cx", default=0.5), get("cy", default=0.5)),
         )
     if kind == "nested-shells":
-        shells = [tuple(float(x) for x in part.split(":"))
-                  for part in kv["shells"].split(",")]
         return Phantom.nested_shells(
-            shells, center=(float(kv.get("cx", 0.5)), float(kv.get("cy", 0.5))),
+            get("shells", parse_pairs), center=(get("cx", default=0.5), get("cy", default=0.5)),
         )
     if kind == "piecewise-polygon":
-        verts = [tuple(float(x) for x in part.split(":"))
-                 for part in kv["vertices"].split(",")]
-        return Phantom.polygon(verts, value=float(kv["value"]))
+        return Phantom.polygon(get("vertices", parse_pairs), value=get("value"))
     if kind == "empty":
         return Phantom.empty()
     raise FormatError(f"{path}: unknown phantom kind {kind!r}")
@@ -266,15 +292,14 @@ def read_phantom_file(path):
 def read_config(path):
     """Flat key-value config with dotted section prefixes (solver.tol_gap=...)."""
     out = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise FormatError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+    for lineno, line in enumerate(_text_lines(path), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise FormatError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        out[key.strip()] = value.strip()
     return out
 
 

@@ -44,8 +44,8 @@ class ScanGeometry:
             raise InvalidGeometryError(f"unknown scan mode {self.mode!r}")
         if self.num_angles < 1 or self.num_detector_pixels < 1:
             raise InvalidGeometryError("need at least one angle and one detector pixel")
-        if self.detector_extent <= 0:
-            raise InvalidGeometryError("detector extent must be positive")
+        if not 0 < self.detector_extent < np.inf:
+            raise InvalidGeometryError("detector extent must be positive and finite")
         angles = self.angles
         if angles is None:
             angles = np.arange(self.num_angles) * np.pi / self.num_angles
@@ -54,13 +54,15 @@ class ScanGeometry:
             raise InvalidGeometryError(
                 f"got {angles.size} angles for num_angles={self.num_angles}"
             )
+        if not np.all(np.isfinite(angles)):
+            raise InvalidGeometryError("angles must be finite")
         object.__setattr__(self, "angles", angles)
         self.angles.setflags(write=False)
         if self.mode == "fan":
             if self.source_radius is None or self.detector_radius is None:
                 raise InvalidGeometryError("fan mode needs source and detector radii")
-            if self.source_radius <= 0 or self.detector_radius <= 0:
-                raise InvalidGeometryError("fan radii must be positive")
+            if not (0 < self.source_radius < np.inf and 0 < self.detector_radius < np.inf):
+                raise InvalidGeometryError("fan radii must be positive and finite")
 
     @property
     def num_rays(self):

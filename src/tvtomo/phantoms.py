@@ -144,8 +144,8 @@ class NoiseSpec:
     distribution: str = "gaussian"
 
     def __post_init__(self):
-        if self.relative_level < 0:
-            raise ParameterError("relative noise level must be nonnegative")
+        if not 0 <= self.relative_level < np.inf:
+            raise ParameterError("relative noise level must be nonnegative and finite")
         if self.distribution != "gaussian":
             raise ParameterError(f"unsupported distribution {self.distribution!r}")
 

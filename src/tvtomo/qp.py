@@ -76,8 +76,8 @@ def split_variables(problem, f_values):
 
 def build_qp(A, g_tilde, ops, alpha):
     """Assemble the QpProblem for one (system matrix, data, alpha) triple."""
-    if alpha <= 0:
-        raise ParameterError(f"regularization parameter must be positive, got {alpha}")
+    if not 0 < alpha < np.inf:
+        raise ParameterError(f"regularization parameter must be positive and finite, got {alpha}")
     n = A.n
     N = n * n
     if ops.n != n:

@@ -166,12 +166,36 @@ class TestConfigMerging:
         assert run(tmp_path, "project", "--image", str(tmp_path / "phantom.img"),
                    "--angles", "12", "--detectors", "12") == 0
         cfg = tmp_path / "bad.cfg"
-        for line in ("solver.eta=2", "solver.max_iterations=abc"):
+        for line in ("solver.eta=2", "solver.max_iterations=abc", "solver.etaa=0.5",
+                     "geometry.num_angles=abc", "geometry.nm_angles=6"):
             cfg.write_text(line + "\n")
             code = run(tmp_path, "reconstruct", "--sino", str(tmp_path / "sinogram.sino"),
                        "--n", "8", "--alpha", "0.1", "--config", str(cfg),
                        "--angles", "12", "--detectors", "12")
             assert code == 2, line
+
+    def test_malformed_values_are_usage_errors(self, tmp_path, capsys):
+        assert run(tmp_path, "phantom", "--kind", "disc", "--n", "8") == 0
+        assert run(tmp_path, "project", "--image", str(tmp_path / "phantom.img"),
+                   "--angles", "12", "--detectors", "12") == 0
+        sino = str(tmp_path / "sinogram.sino")
+        not_utf8 = tmp_path / "not_utf8.txt"
+        not_utf8.write_bytes(b"alpha,n,tv,residual,iterations,status\n\xff\xfe\n")
+        geometry = ["--angles", "12", "--detectors", "12"]
+        cases = [
+            ["phantom", "--n", "8", "--kind", "shells", "--shells", "0.3:x"],
+            ["phantom", "--n", "8", "--kind", "polygon", "--vertices", "0.2:0.2,0.8"],
+            ["sweep", "--sino", sino, "--resolutions", "8,x", *geometry],
+            ["sweep", "--sino", sino, "--resolutions", "8", "--alphas", "1,abc", *geometry],
+            ["reconstruct", "--sino", sino, "--n", "8", "--alpha", "nan", *geometry],
+            ["reconstruct", "--sino", sino, "--n", "8", "--alpha", "0.1",
+             "--config", str(not_utf8), *geometry],
+            ["report", "--table", str(not_utf8)],
+        ]
+        for argv in cases:
+            capsys.readouterr()
+            assert run(tmp_path, *argv) == 2, argv
+            assert "error:" in capsys.readouterr().err, argv
 
     def test_cli_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"

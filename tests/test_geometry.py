@@ -109,6 +109,18 @@ class TestSystemMatrix:
         with pytest.raises(InvalidGeometryError):
             tv.ScanGeometry(mode="fan", num_angles=4, num_detector_pixels=4)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"detector_extent": np.nan},
+        {"detector_extent": np.inf},
+        {"angles": [0.0, np.nan, 1.0, 2.0]},
+        {"angles": [0.0, 1.0, -np.inf, 2.0]},
+        {"mode": "fan", "source_radius": np.nan, "detector_radius": 2.0},
+        {"mode": "fan", "source_radius": 2.0, "detector_radius": np.inf},
+    ])
+    def test_non_finite_geometry_rejected(self, kwargs):
+        with pytest.raises(InvalidGeometryError):
+            tv.ScanGeometry(num_angles=4, num_detector_pixels=4, **kwargs)
+
 
 class TestProjection:
     def test_zero_image_zero_sinogram(self, small_geom):

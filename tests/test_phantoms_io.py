@@ -83,6 +83,11 @@ class TestNoise:
         with pytest.raises(ParameterError):
             tv.NoiseSpec(relative_level=-0.1)
 
+    @pytest.mark.parametrize("level", [np.nan, np.inf])
+    def test_non_finite_level_rejected(self, level):
+        with pytest.raises(ParameterError):
+            tv.NoiseSpec(relative_level=level)
+
     def test_metadata_recorded(self):
         g = self.make_sino()
         noisy = tv.add_noise(g, tv.NoiseSpec(relative_level=0.02, seed=7))

@@ -49,7 +49,7 @@ class TestBuildQp:
         A = tv.assemble_system_matrix(small_geom, 4)
         ops = tv.build_difference_operators(4)
         g = tv.Sinogram(small_geom, np.zeros(small_geom.num_rays))
-        for alpha in (0.0, -1.0):
+        for alpha in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(ParameterError):
                 tv.build_qp(A, g, ops, alpha)
 
