@@ -8,6 +8,7 @@ column-major vector.
 
 import csv
 import io
+import warnings
 
 import numpy as np
 
@@ -148,9 +149,14 @@ def write_sinogram_csv(path, s):
 def read_sinogram_csv(path, geometry=None):
     """Generic CSV import: rows = angles, columns = detector pixels."""
     try:
-        mat = np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            # an empty file is reported below, as a FormatError
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            mat = np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise FormatError(f"{path}: cannot parse CSV sinogram: {exc}") from exc
+    if mat.size == 0:
+        raise FormatError(f"{path}: CSV sinogram contains no data")
     num_angles, num_det = mat.shape
     if geometry is None:
         geometry = ScanGeometry(num_angles=num_angles, num_detector_pixels=num_det)

@@ -2,8 +2,17 @@
 
 The pencil-beam model: each detector reading is the line integral of the
 attenuation image along one ray.  Rays are traced through the pixel lattice
-of [0,1]^2 with a Siddon-style parametric traversal, and the system matrix
+of [0,1]^2 with Siddon's parametric traversal, and the system matrix
 collects the exact ray/pixel intersection lengths.
+
+`trace_ray` traces one ray.  `assemble_system_matrix` traces a batch of
+rays at once with array operations: each ray's row holds its clipped span
+and the crossings of every grid line, the crossings outside the span are
+set to inf, and a sort and a difference per row give the segments.  Rays
+go in batches of at most `_CHUNK_ENTRIES` crossing slots, so memory stays
+bounded for any geometry, and in angle-major order with segments in
+increasing t, so the matrix is the same, bit for bit, as stacking
+`trace_ray` rows.
 """
 
 from dataclasses import dataclass, field
@@ -25,6 +34,10 @@ __all__ = [
 ]
 
 _CENTER = np.array([0.5, 0.5])
+
+# (ray, crossing) slots per batch, 2 MB per float temporary: on a 2-core Xeon
+# this ran no slower than 16 MB batches and kept small geometries' peak low
+_CHUNK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -83,20 +96,24 @@ class ScanGeometry:
         k = np.arange(self.num_detector_pixels)
         return ((k + 0.5) / self.num_detector_pixels - 0.5) * self.detector_extent
 
+    def ray_arrays(self):
+        """(origins, directions), each of shape (num_rays, 2), angle-major order."""
+        d = np.stack([np.cos(self.angles), np.sin(self.angles)], axis=-1)[:, None, :]
+        perp = np.stack([-d[..., 1], d[..., 0]], axis=-1)
+        t = self.detector_offsets()[None, :, None]
+        if self.mode == "parallel":
+            origins = _CENTER + t * perp
+            directions = np.broadcast_to(d, origins.shape)
+        else:
+            src = _CENTER - self.source_radius * d
+            det_c = _CENTER + self.detector_radius * d
+            directions = det_c + t * perp - src
+            origins = np.broadcast_to(src, directions.shape)
+        return origins.reshape(-1, 2), directions.reshape(-1, 2)
+
     def rays(self):
         """Yield (origin, direction) for every ray, angle-major order."""
-        offs = self.detector_offsets()
-        for theta in self.angles:
-            d = np.array([np.cos(theta), np.sin(theta)])
-            perp = np.array([-np.sin(theta), np.cos(theta)])
-            if self.mode == "parallel":
-                for t in offs:
-                    yield _CENTER + t * perp, d
-            else:
-                src = _CENTER - self.source_radius * d
-                det_c = _CENTER + self.detector_radius * d
-                for t in offs:
-                    yield src, det_c + t * perp - src
+        yield from zip(*self.ray_arrays())
 
 
 @dataclass(frozen=True)
@@ -192,25 +209,76 @@ def trace_ray(origin, direction, n):
     return rows + n * cols, lengths
 
 
+def _trace_rays(origins, directions, n):
+    """trace_ray for a batch of rays, shaped (R, 2), with array operations.
+
+    Returns (counts, indices, lengths): the number of kept segments of each
+    ray, then the segments ray by ray in increasing t.  The arithmetic is
+    trace_ray's, so the values are identical to its.
+    """
+    norm = np.hypot(directions[:, 0], directions[:, 1])
+    if not (np.all(norm > 0.0) and np.all(np.isfinite(directions))):
+        raise InvalidGeometryError("ray direction must be a nonzero finite vector")
+    d = directions / norm[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # slab clipping; an axis the ray does not move along only decides a miss
+        t0 = np.full(len(d), -np.inf)
+        t1 = np.full(len(d), np.inf)
+        missed = np.zeros(len(d), dtype=bool)
+        for k in range(2):
+            moving = d[:, k] != 0.0
+            ta = (0.0 - origins[:, k]) / d[:, k]
+            tb = (1.0 - origins[:, k]) / d[:, k]
+            t0 = np.where(moving, np.maximum(t0, np.minimum(ta, tb)), t0)
+            t1 = np.where(moving, np.minimum(t1, np.maximum(ta, tb)), t1)
+            missed |= ~moving & ((origins[:, k] < 0.0) | (origins[:, k] > 1.0))
+        hit = np.flatnonzero(~missed & (t0 < t1))
+        o, d, t0, t1 = origins[hit], d[hit], t0[hit, None], t1[hit, None]
+
+        # row r: t0, t1 and the crossings of all n + 1 planes per axis, those
+        # not inside (t0, t1) (all of them on an axis the ray does not move
+        # along) set to inf; sorted, the finite steps are the segments
+        planes = np.arange(n + 1) / n
+        ts = np.empty((hit.size, 2 * n + 4))
+        ts[:, :1], ts[:, 1:2] = t0, t1
+        for k in range(2):
+            tk = ts[:, 2 + k * (n + 1):2 + (k + 1) * (n + 1)]
+            np.divide(planes - o[:, k, None], d[:, k, None], out=tk)
+            np.copyto(tk, np.inf, where=~((tk > t0) & (tk < t1)))
+        ts.sort(axis=1)
+        lengths = np.diff(ts, axis=1)
+        keep = (lengths > 1e-15) & np.isfinite(lengths)
+
+    kept = np.count_nonzero(keep, axis=1)
+    counts = np.zeros(len(directions), dtype=np.int64)
+    counts[hit] = kept
+    # flat position in ts of each kept segment's start (ts rows are one wider
+    # than keep rows); b - a is the segment's length as diff computed it
+    start = np.flatnonzero(keep) + np.repeat(np.arange(hit.size), kept)
+    a, b = ts.ravel()[start], ts.ravel()[start + 1]
+    mid = 0.5 * (a + b)
+    x, y = (np.repeat(o[:, k], kept) + mid * np.repeat(d[:, k], kept) for k in range(2))
+    cols = np.clip((x * n).astype(np.int64), 0, n - 1)
+    rows = np.clip((y * n).astype(np.int64), 0, n - 1)
+    return counts, rows + n * cols, b - a
+
+
 def assemble_system_matrix(geom, n):
     """Build the M x N system matrix by tracing every ray of the geometry."""
     if n < 1:
         raise InvalidGeometryError(f"grid size must be positive, got n={n}")
-    N = n * n
-    row_idx, col_idx, vals = [], [], []
-    for j, (origin, direction) in enumerate(geom.rays()):
-        idx, lengths = trace_ray(origin, direction, n)
-        if idx.size:
-            row_idx.append(np.full(idx.size, j, dtype=np.int64))
-            col_idx.append(idx)
-            vals.append(lengths)
-    if row_idx:
-        mat = sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(row_idx), np.concatenate(col_idx))),
-            shape=(geom.num_rays, N),
-        )
-    else:
-        mat = sp.csr_matrix((geom.num_rays, N))
+    origins, directions = geom.ray_arrays()
+    step = max(1, _CHUNK_ENTRIES // (2 * n + 4))
+    counts, indices, lengths = zip(*(
+        _trace_rays(origins[lo:lo + step], directions[lo:lo + step], n)
+        for lo in range(0, geom.num_rays, step)
+    ))
+    # segments come ray by ray, so these are the rows of the CSR matrix in
+    # order; sum_duplicates sorts and merges each row as COO -> CSR does
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    mat = sp.csr_matrix((np.concatenate(lengths), np.concatenate(indices), indptr),
+                        shape=(geom.num_rays, n * n))
+    mat.sum_duplicates()
     return SparseSystemMatrix(geometry=geom, n=n, matrix=mat)
 
 

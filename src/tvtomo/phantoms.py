@@ -146,6 +146,8 @@ class NoiseSpec:
     def __post_init__(self):
         if not 0 <= self.relative_level < np.inf:
             raise ParameterError("relative noise level must be nonnegative and finite")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ParameterError(f"noise seed must be a nonnegative integer, got {self.seed!r}")
         if self.distribution != "gaussian":
             raise ParameterError(f"unsupported distribution {self.distribution!r}")
 

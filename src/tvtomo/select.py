@@ -15,6 +15,7 @@ from .errors import (
     NoCornerWarning,
     NoSelectionError,
     OutOfRangeError,
+    ParameterError,
     ResolutionMismatchError,
     ShapeMismatchError,
     SolverFailureError,
@@ -173,6 +174,10 @@ def select_multiresolution(table, stability_tol=0.05):
     the resolution columns; the rule returns the smallest alpha with
     spread <= stability_tol.
     """
+    if not 0 <= stability_tol < np.inf:
+        raise ParameterError(
+            f"stability tolerance must be nonnegative and finite, got {stability_tol}"
+        )
     table.require_complete()
     spreads = spread_profile(table)
     stable = spreads <= stability_tol

@@ -197,6 +197,24 @@ class TestConfigMerging:
             assert run(tmp_path, *argv) == 2, argv
             assert "error:" in capsys.readouterr().err, argv
 
+    def test_bad_noise_seed_and_stability_tol_are_usage_errors(self, tmp_path, capsys):
+        assert run(tmp_path, "phantom", "--kind", "disc", "--n", "8") == 0
+        assert run(tmp_path, "project", "--image", str(tmp_path / "phantom.img"),
+                   "--angles", "12", "--detectors", "12") == 0
+        table = tv.SweepTable(alphas=[0.1, 1.0], resolutions=[8, 16], tv=np.ones((2, 2)),
+                              residual=np.ones((2, 2)))
+        tv.write_sweep_csv(tmp_path / "sweep.csv", table)
+        cases = [
+            ["noise", "--sino", str(tmp_path / "sinogram.sino"), "--level", "0.1",
+             "--seed", "-1"],
+            ["select", "--table", str(tmp_path / "sweep.csv"), "--method", "multires",
+             "--tol", "nan"],
+        ]
+        for argv in cases:
+            capsys.readouterr()
+            assert run(tmp_path, *argv) == 2, argv
+            assert "error:" in capsys.readouterr().err, argv
+
     def test_cli_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("solver.max_iterations=2\n")

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import tvtomo as tv
+from tvtomo import geometry
 from tvtomo.errors import InvalidGeometryError, ShapeMismatchError
 
 
@@ -120,6 +122,107 @@ class TestSystemMatrix:
     def test_non_finite_geometry_rejected(self, kwargs):
         with pytest.raises(InvalidGeometryError):
             tv.ScanGeometry(num_angles=4, num_detector_pixels=4, **kwargs)
+
+
+def stacked_trace_ray(geom, n):
+    """Oracle: one trace_ray per ray, stacked into a CSR matrix row by row."""
+    rows, cols, vals = [], [], []
+    for j, (origin, direction) in enumerate(geom.rays()):
+        idx, lengths = tv.trace_ray(origin, direction, n)
+        rows.append(np.full(idx.size, j))
+        cols.append(idx)
+        vals.append(lengths)
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(geom.num_rays, n * n),
+    )
+
+
+def random_geometries(seed, count):
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        num_angles = int(rng.integers(1, 10))
+        common = dict(
+            num_angles=num_angles,
+            num_detector_pixels=int(rng.integers(1, 30)),
+            detector_extent=float(rng.uniform(0.2, 3.5)),
+            angles=rng.uniform(-2 * np.pi, 2 * np.pi, num_angles),
+        )
+        if i % 2:
+            yield tv.ScanGeometry(**common), int(rng.integers(1, 40))
+        else:
+            yield tv.ScanGeometry(
+                mode="fan", source_radius=float(rng.uniform(0.8, 3.0)),
+                detector_radius=float(rng.uniform(0.1, 3.0)), **common,
+            ), int(rng.integers(1, 40))
+
+
+EDGE_GEOMETRIES = [
+    # axis-aligned rays, including along the square's edges
+    (tv.ScanGeometry(num_angles=2, num_detector_pixels=9, detector_extent=1.0,
+                     angles=[0.0, np.pi / 2]), 8),
+    # detector offsets on the grid lines k/n
+    (tv.ScanGeometry(num_angles=4, num_detector_pixels=4, detector_extent=1.0,
+                     angles=[0.0, np.pi / 2, np.pi, np.pi / 4]), 8),
+    # rays that miss the square
+    (tv.ScanGeometry(num_angles=5, num_detector_pixels=20, detector_extent=3.0), 6),
+    (tv.ScanGeometry(mode="fan", num_angles=6, num_detector_pixels=25, detector_extent=6.0,
+                     source_radius=1.5, detector_radius=1.5), 7),
+    (tv.ScanGeometry(num_angles=1, num_detector_pixels=2, detector_extent=10.0,
+                     angles=[0.0]), 5),
+    # one pixel
+    (tv.ScanGeometry(num_angles=7, num_detector_pixels=5), 1),
+    (tv.ScanGeometry(mode="fan", num_angles=3, num_detector_pixels=4, detector_extent=2.0,
+                     source_radius=2.0, detector_radius=1.0), 1),
+]
+
+
+class TestBatchedAssembly:
+    def assert_matches_oracle(self, geom, n):
+        A = tv.assemble_system_matrix(geom, n).matrix
+        oracle = stacked_trace_ray(geom, n)
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(A, name), getattr(oracle, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+    @pytest.mark.parametrize("geom, n", list(random_geometries(11, 16)))
+    def test_random_geometries(self, geom, n):
+        self.assert_matches_oracle(geom, n)
+
+    @pytest.mark.parametrize("geom, n", EDGE_GEOMETRIES)
+    def test_edge_geometries(self, geom, n):
+        self.assert_matches_oracle(geom, n)
+
+    def test_one_angle_many_detectors_spans_batches(self):
+        n = 64
+        geom = tv.ScanGeometry(num_angles=1, num_detector_pixels=6000, angles=[0.3])
+        assert geom.num_rays > 2 * (geometry._CHUNK_ENTRIES // (2 * n + 4))
+        self.assert_matches_oracle(geom, n)
+
+    @pytest.mark.parametrize("entries", [1, 40, 97])
+    def test_batch_boundaries_do_not_change_matrix(self, monkeypatch, entries):
+        monkeypatch.setattr(geometry, "_CHUNK_ENTRIES", entries)
+        for geom, n in [*EDGE_GEOMETRIES, *random_geometries(12, 4)]:
+            self.assert_matches_oracle(geom, n)
+
+    @pytest.mark.parametrize("geom, n", EDGE_GEOMETRIES)
+    def test_ray_arrays_match_per_angle_formula(self, geom, n):
+        origins, directions = geom.ray_arrays()
+        expected = []
+        for theta in geom.angles:
+            d = np.array([np.cos(theta), np.sin(theta)])
+            perp = np.array([-np.sin(theta), np.cos(theta)])
+            center = np.array([0.5, 0.5])
+            for t in geom.detector_offsets():
+                if geom.mode == "parallel":
+                    expected.append((center + t * perp, d))
+                else:
+                    src = center - geom.source_radius * d
+                    det_c = center + geom.detector_radius * d
+                    expected.append((src, det_c + t * perp - src))
+        assert np.array_equal(origins, [o for o, _ in expected])
+        assert np.array_equal(directions, [v for _, v in expected])
+        assert np.array_equal(origins, [o for o, _ in geom.rays()])
 
 
 class TestProjection:

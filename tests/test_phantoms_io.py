@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,11 @@ class TestNoise:
     def test_non_finite_level_rejected(self, level):
         with pytest.raises(ParameterError):
             tv.NoiseSpec(relative_level=level)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ParameterError):
+            tv.NoiseSpec(relative_level=0.1, seed=seed)
 
     def test_metadata_recorded(self):
         g = self.make_sino()
@@ -180,6 +187,15 @@ class TestSinogramIo:
         tv.write_sinogram_csv(path, s)
         back = tv.read_sinogram_csv(path)
         assert np.allclose(back.data, s.data, atol=0, rtol=0)
+
+    @pytest.mark.parametrize("text", ["", "# comment only\n", "\n\n"])
+    def test_csv_without_data_names_file(self, tmp_path, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match="empty.csv"):
+                tv.read_sinogram_csv(path)
 
     def test_csv_garbage_rejected(self, tmp_path):
         path = tmp_path / "s.csv"

@@ -7,6 +7,7 @@ from tvtomo.errors import (
     NoCornerWarning,
     NoSelectionError,
     OutOfRangeError,
+    ParameterError,
 )
 from tvtomo.select import SweepTable, spread_profile, _curvature_samples
 
@@ -93,6 +94,11 @@ class TestMultiResolution:
         with pytest.raises(NoSelectionError) as exc:
             tv.select_multiresolution(table)
         assert "spreads" in exc.value.diagnostics
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -0.1])
+    def test_bad_stability_tol_rejected(self, tol):
+        with pytest.raises(ParameterError):
+            tv.select_multiresolution(make_table(TV_LOW_NOISE), stability_tol=tol)
 
     def test_nan_cell_rejected(self):
         tv_values = TV_LOW_NOISE.copy()
