@@ -70,7 +70,6 @@ from .phantoms import NoiseSpec, Phantom, add_noise, render_phantom
 from .qp import QpProblem, build_qp, split_variables
 from .select import (
     SCurvePrior,
-    SweepTable,
     estimate_s_hat,
     run_sweep,
     select_lcurve,
@@ -78,5 +77,6 @@ from .select import (
     select_scurve,
     spread_profile,
 )
+from .table import SweepTable
 
 __version__ = "0.1.0"

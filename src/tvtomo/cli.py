@@ -36,7 +36,7 @@ from .select import (
     select_lcurve,
     select_multiresolution,
     select_scurve,
-    spread_profile,
+    stable_rows,
 )
 
 EXIT_OK = 0
@@ -172,7 +172,7 @@ def _build_parser():
                    help="comma-separated alphas (default decades 1e-4..1e6)")
     p.add_argument("--resolutions", type=_comma_list(int), required=True,
                    help="comma-separated n values")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes (>= 1)")
     p.add_argument("--name", default="sweep")
     _add_geometry_flags(p)
     _add_solver_flags(p)
@@ -322,8 +322,7 @@ def _cmd_select(args, out):
 
 def _cmd_report(args, out):
     table = fileio.read_sweep_csv(args.table)
-    spreads = spread_profile(table)
-    stable = spreads <= args.tol
+    spreads, stable = stable_rows(table, args.tol)
     header = "alpha      " + "  ".join(f"n={n:<8d}" for n in table.resolutions) + "spread    stable"
     lines = [header]
     for i, alpha in enumerate(table.alphas):

@@ -3,7 +3,8 @@
 Raw formats are byte-stable: little-endian 64-bit floats behind one-line
 text headers (``TVTOMO-IMG <n>``, ``TVTOMO-SINO <num_angles> <num_det>``).
 Images are laid out row-major on disk regardless of the in-memory
-column-major vector.
+column-major vector.  A sweep CSV has one row per (alpha, n) cell; its
+table comes from `SweepTable.from_cells` in the leaf module `tvtomo.table`.
 """
 
 import csv
@@ -16,7 +17,7 @@ from .errors import FormatError
 from .geometry import ScanGeometry, Sinogram
 from .grid import ImageGrid
 from .phantoms import Phantom
-from .select import SweepTable
+from .table import SweepTable
 
 __all__ = [
     "write_image", "read_image", "write_pgm",
@@ -193,20 +194,7 @@ def read_sweep_csv(path):
         if key in cells:
             raise FormatError(f"{path}:{lineno}: second row for alpha={alpha}, n={n}")
         cells[key] = cell
-    alphas = sorted({a for a, _ in cells})
-    resolutions = sorted({n for _, n in cells})
-    shape = (len(alphas), len(resolutions))
-    tv = np.full(shape, np.nan)
-    residual = np.full(shape, np.nan)
-    iterations = np.zeros(shape, dtype=int)
-    status = np.full(shape, "absent", dtype=object)
-    for (alpha, n), (t, r, it, st) in cells.items():
-        i, j = alphas.index(alpha), resolutions.index(n)
-        tv[i, j], residual[i, j], iterations[i, j], status[i, j] = t, r, it, st
-    return SweepTable(
-        alphas=np.asarray(alphas), resolutions=resolutions, tv=tv,
-        residual=residual, iterations=iterations, status=status,
-    )
+    return SweepTable.from_cells(cells)
 
 
 def write_curve_csv(path, columns):

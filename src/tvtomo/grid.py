@@ -71,7 +71,6 @@ class DifferenceOperators:
     n: int
     d_h: sp.csr_matrix = field(repr=False)
     d_v: sp.csr_matrix = field(repr=False)
-    boundary: str = "periodic"
 
 
 def build_difference_operators(n):

@@ -80,13 +80,6 @@ class PdipState:
     z: np.ndarray
     y: np.ndarray
     x_tilde: np.ndarray
-    iteration: int = 0
-    r_dual: float = np.inf
-    r_primal: float = np.inf
-
-    @property
-    def mu(self):
-        return float(self.z @ self.x_tilde) / self.z.size
 
 
 @dataclass

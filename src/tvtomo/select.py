@@ -1,12 +1,15 @@
 """Regularization parameter selection: multi-resolution, S-curve, L-curve.
 
-All three rules operate on a SweepTable of TV norms and residuals obtained
-by reconstructing the same data at several (alpha, resolution) pairs.
+`run_sweep` reconstructs the same data at every (alpha, resolution) pair
+into a `SweepTable` (from `tvtomo.table`) of TV norms and residuals; the
+three rules and the stability test `stable_rows` read such a table.
 """
 
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from contextlib import ExitStack
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -17,12 +20,12 @@ from .errors import (
     OutOfRangeError,
     ParameterError,
     ResolutionMismatchError,
-    ShapeMismatchError,
     SolverFailureError,
 )
 from .geometry import assemble_system_matrix
 from .grid import build_difference_operators, tv_norm
 from .pdip import SolverConfig, reconstruct
+from .table import SweepTable
 
 __all__ = [
     "SweepTable",
@@ -35,55 +38,6 @@ __all__ = [
 ]
 
 _SPREAD_FLOOR = 1e-12
-
-
-@dataclass
-class SweepTable:
-    """(alpha, resolution) grid of TV norms and data residuals.
-
-    Failed or missing cells are NaN; selection rules reject tables with
-    NaN or not-converged cells inside the range they need.
-    """
-
-    alphas: np.ndarray
-    resolutions: list
-    tv: np.ndarray
-    residual: np.ndarray
-    iterations: np.ndarray = None
-    status: np.ndarray = None  # string array: converged/...
-    reports: list = field(default_factory=list, repr=False)
-
-    def __post_init__(self):
-        self.alphas = np.asarray(self.alphas, dtype=float)
-        self.resolutions = [int(r) for r in self.resolutions]
-        self.tv = np.asarray(self.tv, dtype=float)
-        self.residual = np.asarray(self.residual, dtype=float)
-        shape = (self.alphas.size, len(self.resolutions))
-        if self.tv.shape != shape or self.residual.shape != shape:
-            raise ShapeMismatchError(
-                f"table arrays must have shape {shape}, got {self.tv.shape}/{self.residual.shape}"
-            )
-        if np.any(self.alphas <= 0):
-            raise ShapeMismatchError("alphas must be positive")
-        if np.any(np.diff(self.alphas) <= 0):
-            raise ShapeMismatchError("alphas must be sorted strictly ascending")
-        if self.iterations is None:
-            self.iterations = np.zeros(shape, dtype=int)
-        if self.status is None:
-            self.status = np.where(np.isnan(self.tv), "absent", "converged").astype(object)
-
-    def column(self, n):
-        if n not in self.resolutions:
-            raise ResolutionMismatchError(f"resolution {n} not in table {self.resolutions}")
-        return self.resolutions.index(n)
-
-    def require_complete(self, cols=slice(None)):
-        bad = np.isnan(self.tv) | (self.status != "converged")
-        if np.any(bad[:, cols]):
-            raise NoSelectionError(
-                "sweep table has absent or not-converged cells in the requested range",
-                diagnostics={"rejected": np.argwhere(bad)},
-            )
 
 
 @dataclass(frozen=True)
@@ -99,14 +53,15 @@ class SCurvePrior:
             raise DegeneratePriorError(f"sparsity level must be positive, got {self.s_hat}")
 
 
-def _solve_cell(A, g_tilde, alpha, config, ops):
+def _solve_cell(g_tilde, config, alpha, system):
+    A, ops = system
     try:
         f, report = reconstruct(A, g_tilde, alpha, config=config, ops=ops)
-    except SolverFailureError as exc:
-        return np.nan, np.nan, 0, "solver_failure", exc.report
+    except SolverFailureError:
+        return np.nan, np.nan, 0, "solver_failure"
     tv = tv_norm(f, ops)
     res = float(np.linalg.norm(A.matrix @ f.values - g_tilde.data))
-    return tv, res, report.iterations, report.reason, report
+    return tv, res, report.iterations, report.reason
 
 
 def run_sweep(geom, g_tilde, alphas, resolutions, config=None, jobs=1):
@@ -114,49 +69,30 @@ def run_sweep(geom, g_tilde, alphas, resolutions, config=None, jobs=1):
 
     The sinogram is resolution-independent data: the same g_tilde feeds
     every column, while the system matrix is re-assembled per resolution.
-    Solver failures are recorded as absent cells, not raised.
+    Solver failures are NaN cells with status ``"solver_failure"``, not
+    raised.  ``jobs > 1`` worker processes give the same table as one.
     """
     config = config or SolverConfig()
     alphas = np.sort(np.asarray(alphas, dtype=float))
     resolutions = sorted(int(r) for r in resolutions)
-    shape = (alphas.size, len(resolutions))
-    tv = np.full(shape, np.nan)
-    residual = np.full(shape, np.nan)
-    iterations = np.zeros(shape, dtype=int)
-    status = np.full(shape, "absent", dtype=object)
-    reports = [[None] * shape[1] for _ in range(shape[0])]
+    if np.unique(alphas).size != alphas.size:
+        raise ParameterError(f"duplicate alphas in {alphas.tolist()}")
+    if len(set(resolutions)) != len(resolutions):
+        raise ParameterError(f"duplicate resolutions in {resolutions}")
+    if alphas.size == 0 or not resolutions:
+        raise ParameterError("a sweep needs at least one alpha and one resolution")
+    if jobs < 1:
+        raise ParameterError(f"jobs must be >= 1, got {jobs}")
 
-    tasks = []
-    for j, n in enumerate(resolutions):
-        A = assemble_system_matrix(geom, n)
-        ops = build_difference_operators(n)
-        for i, alpha in enumerate(alphas):
-            tasks.append((i, j, A, ops, alpha))
-
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                (i, j, pool.submit(_solve_cell, A, g_tilde, alpha, config, ops))
-                for i, j, A, ops, alpha in tasks
-            ]
-            results = [(i, j, fut.result()) for i, j, fut in futures]
-    else:
-        results = [
-            (i, j, _solve_cell(A, g_tilde, alpha, config, ops))
-            for i, j, A, ops, alpha in tasks
-        ]
-
-    for i, j, (tv_ij, res_ij, iters, reason, report) in results:
-        tv[i, j] = tv_ij
-        residual[i, j] = res_ij
-        iterations[i, j] = iters
-        status[i, j] = reason
-        reports[i][j] = report
-
-    return SweepTable(
-        alphas=alphas, resolutions=resolutions, tv=tv, residual=residual,
-        iterations=iterations, status=status, reports=reports,
-    )
+    systems = {n: (assemble_system_matrix(geom, n), build_difference_operators(n))
+               for n in resolutions}
+    keys = [(alpha, n) for n in resolutions for alpha in alphas]
+    solve = partial(_solve_cell, g_tilde, config)
+    with ExitStack() as stack:
+        mapper = (stack.enter_context(ProcessPoolExecutor(max_workers=jobs)).map
+                  if jobs > 1 else map)
+        results = list(mapper(solve, [a for a, _ in keys], [systems[n] for _, n in keys]))
+    return SweepTable.from_cells(dict(zip(keys, results)))
 
 
 def spread_profile(table):
@@ -167,6 +103,14 @@ def spread_profile(table):
     return (mx - mn) / np.maximum(mean, _SPREAD_FLOOR)
 
 
+def stable_rows(table, tol):
+    """Spread profile of the table and which rows have spread <= tol."""
+    if not 0 <= tol < np.inf:
+        raise ParameterError(f"stability tolerance must be nonnegative and finite, got {tol}")
+    spreads = spread_profile(table)
+    return spreads, spreads <= tol
+
+
 def select_multiresolution(table, stability_tol=0.05):
     """Smallest alpha whose TV norms are stable across resolutions.
 
@@ -174,13 +118,8 @@ def select_multiresolution(table, stability_tol=0.05):
     the resolution columns; the rule returns the smallest alpha with
     spread <= stability_tol.
     """
-    if not 0 <= stability_tol < np.inf:
-        raise ParameterError(
-            f"stability tolerance must be nonnegative and finite, got {stability_tol}"
-        )
+    spreads, stable = stable_rows(table, stability_tol)
     table.require_complete()
-    spreads = spread_profile(table)
-    stable = spreads <= stability_tol
     diagnostics = {
         "alphas": table.alphas.copy(),
         "spreads": spreads,

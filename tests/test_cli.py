@@ -187,6 +187,9 @@ class TestConfigMerging:
             ["phantom", "--n", "8", "--kind", "polygon", "--vertices", "0.2:0.2,0.8"],
             ["sweep", "--sino", sino, "--resolutions", "8,x", *geometry],
             ["sweep", "--sino", sino, "--resolutions", "8", "--alphas", "1,abc", *geometry],
+            ["sweep", "--sino", sino, "--resolutions", "8,8", *geometry],
+            ["sweep", "--sino", sino, "--resolutions", "8", "--alphas", "1,1", *geometry],
+            ["sweep", "--sino", sino, "--resolutions", "8", "--jobs", "0", *geometry],
             ["reconstruct", "--sino", sino, "--n", "8", "--alpha", "nan", *geometry],
             ["reconstruct", "--sino", sino, "--n", "8", "--alpha", "0.1",
              "--config", str(not_utf8), *geometry],
@@ -209,6 +212,8 @@ class TestConfigMerging:
              "--seed", "-1"],
             ["select", "--table", str(tmp_path / "sweep.csv"), "--method", "multires",
              "--tol", "nan"],
+            *(["report", "--table", str(tmp_path / "sweep.csv"), "--tol", tol]
+              for tol in ("nan", "inf", "-0.1")),
         ]
         for argv in cases:
             capsys.readouterr()

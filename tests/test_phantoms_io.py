@@ -1,4 +1,6 @@
+import ast
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,6 +256,43 @@ class TestSweepCsv:
         path.write_text(self.HEADER + (",".join(self.ROW) + "\n") * 2)
         with pytest.raises(FormatError, match=r"sweep\.csv:3: second row for alpha=0\.1, n=8"):
             tv.read_sweep_csv(path)
+
+    def test_missing_cell_is_absent(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        path.write_text(self.HEADER + "1.0,16,0.5,0.1,7,converged\n"
+                        "0.1,8,1.5,0.25,12,converged\n1.0,8,0.75,0.2,9,max_iterations\n")
+        table = tv.read_sweep_csv(path)
+        assert table.alphas.tolist() == [0.1, 1.0]
+        assert table.resolutions == [8, 16]
+        assert table.status.tolist() == [["converged", "absent"],
+                                         ["max_iterations", "converged"]]
+        assert table.iterations.tolist() == [[12, 0], [9, 7]]
+        assert np.isnan(table.tv[0, 1]) and np.isnan(table.residual[0, 1])
+        assert table.tv[1].tolist() == [0.75, 0.5]
+
+
+def _tvtomo_imports(module):
+    """Names of the tvtomo modules that ``tvtomo/<module>.py`` imports."""
+    tree = ast.parse((Path(tv.__file__).parent / f"{module}.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {a.name.split(".")[1] for a in node.names
+                      if a.name.startswith("tvtomo.")}
+        elif isinstance(node, ast.ImportFrom):
+            package = "." * node.level + (node.module or "")
+            if package in (".", "tvtomo"):
+                names |= {a.name for a in node.names}
+            elif package.startswith((".", "tvtomo.")):
+                names.add(package.lstrip(".").removeprefix("tvtomo.").split(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("module", ["fileio", "table"])
+def test_io_does_not_import_the_solver(module):
+    imports = _tvtomo_imports(module)
+    assert "errors" in imports  # the scan sees the relative imports
+    assert imports.isdisjoint({"select", "pdip", "qp"})
 
 
 class TestPhantomAndConfigFiles:

@@ -262,16 +262,48 @@ class TestRunSweep:
         # larger alpha never increases TV within a column
         assert np.all(table.tv[1] <= table.tv[0] + 1e-8)
 
-    def test_parallel_sweep_matches_serial(self, small_geom):
+    def test_parallel_sweep_matches_serial(self, small_geom, tmp_path):
         phantom = tv.render_phantom(tv.Phantom.disc(r=0.3), 16)
         g = tv.forward_project(tv.assemble_system_matrix(small_geom, 16), phantom)
-        grid = dict(alphas=[0.01, 0.1, 1.0], resolutions=[8, 16])
-        serial = tv.run_sweep(small_geom, g, jobs=1, **grid)
-        parallel = tv.run_sweep(small_geom, g, jobs=2, **grid)
-        for name in ("tv", "residual", "iterations", "status"):
-            np.testing.assert_array_equal(getattr(parallel, name), getattr(serial, name))
+        converging = dict(alphas=[0.01, 0.1, 1.0], resolutions=[8, 16])
+        # CG capped at one iteration: the n=2 cells converge, the n=4 cells fail
+        failing = dict(alphas=[0.01, 1.0], resolutions=[2, 4],
+                       config=tv.SolverConfig(backend="cg", cg_max_iterations=1))
+        serial = [tv.run_sweep(small_geom, g, jobs=1, **converging)]
+        with pytest.warns(UserWarning, match=r"inner CG hit the iteration cap \(1\)"):
+            serial.append(tv.run_sweep(small_geom, g, jobs=1, **failing))
+        assert set(serial[1].status.ravel()) == {"converged", "solver_failure"}
+        for grid, table in zip((converging, failing), serial):
+            path = tmp_path / "sweep.csv"
+            tv.write_sweep_csv(path, table)
+            for other in (tv.run_sweep(small_geom, g, jobs=2, **grid), tv.read_sweep_csv(path)):
+                assert other.resolutions == table.resolutions
+                for name in ("alphas", "tv", "residual", "iterations", "status"):
+                    # NaN cells compare equal to NaN cells only
+                    np.testing.assert_array_equal(getattr(other, name), getattr(table, name))
+
+    @pytest.mark.parametrize("grid", [
+        dict(alphas=[0.1], resolutions=[4, 4]),
+        dict(alphas=[1.0, 0.1, 1.0], resolutions=[4]),
+        dict(alphas=[0.1], resolutions=[4], jobs=0),
+        dict(alphas=[0.1], resolutions=[4], jobs=-3),
+        dict(alphas=[], resolutions=[4]),
+    ], ids=["duplicate-resolutions", "duplicate-alphas", "jobs-0", "jobs-negative", "no-alphas"])
+    def test_bad_grid_rejected_before_solving(self, small_geom, monkeypatch, grid):
+        def no_assembly(*args):
+            raise AssertionError("assembled a system matrix for a rejected sweep")
+
+        monkeypatch.setattr(tv.select, "assemble_system_matrix", no_assembly)
+        g = tv.Sinogram(geometry=small_geom, data=np.ones(small_geom.num_rays))
+        with pytest.raises(ParameterError):
+            tv.run_sweep(small_geom, g, **grid)
 
     def test_column_lookup_errors(self):
         table = make_table(TV_LOW_NOISE)
         with pytest.raises(tv.ResolutionMismatchError):
             table.column(48)
+
+    @pytest.mark.parametrize("resolutions", [(16, 8), (8, 8)])
+    def test_table_resolutions_must_ascend(self, resolutions):
+        with pytest.raises(tv.ShapeMismatchError, match="resolutions"):
+            make_table(np.ones((2, 2)), resolutions=resolutions)
