@@ -117,7 +117,6 @@ def _add_solver_flags(p):
     p.add_argument("--solver-tol-dual", dest="solver_tol_dual", type=float)
     p.add_argument("--solver-tol-gap", dest="solver_tol_gap", type=float)
     p.add_argument("--solver-max-iterations", dest="solver_max_iterations", type=int)
-    p.add_argument("--solver-backend", dest="solver_backend", choices=["auto", "dense", "cg"])
 
 
 def _add_geometry_flags(p):

@@ -187,8 +187,12 @@ def read_sweep_csv(path):
         try:
             alpha, n, t, r, it, st = row
             key, cell = (float(alpha), int(n)), (float(t), float(r), int(it), st)
-            if not np.isfinite(key[0]):
-                raise ValueError(f"alpha {alpha!r} is not finite")
+            if not 0 < key[0] < np.inf:
+                raise ValueError(f"alpha {alpha!r} is not positive and finite")
+            if key[1] < 1:
+                raise ValueError(f"n {n!r} is below 1")
+            if cell[2] < 0:
+                raise ValueError(f"iterations {it!r} is negative")
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: malformed sweep row {row!r}: {exc}") from exc
         if key in cells:

@@ -17,18 +17,17 @@ equality duals leaves an SPD system
 
     (A^T A + diag(d_f) + D_h^T W_h D_h + D_v^T W_v D_v) df = rhs
 
-solved by a backend chosen once per solve: dense Cholesky for N <= 1024
-pixels, else CG preconditioned by an exact splu factorization of the banded part
-G + diag(A^T A), with A^T A applied matrix-free as f -> A^T (A f).
+solved by conjugate gradients, preconditioned by an exact splu factorization
+of the banded part G + diag(A^T A), with A^T A applied matrix-free as
+f -> A^T (A f).  diag(A^T A) is computed once per solve.
 SolverConfig is frozen; out-of-range values raise ParameterError (CLI exit 2).
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import partial
 
 import numpy as np
-import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -57,18 +56,19 @@ class SolverConfig:
     max_iterations: int = 100
     eta: float = 0.995  # fraction-to-boundary
     centering_exponent: float = 3.0
-    backend: str = "auto"  # auto | dense | cg
     inner_tol: float = 1e-9
     cg_max_iterations: int = 2000
+    # accepted and ignored: benchmarks/workloads.py warm_up still passes it
+    backend: InitVar[str] = "auto"
 
-    def __post_init__(self):
+    def __post_init__(self, backend):
         tolerances = (self.tol_primal, self.tol_dual, self.tol_gap, self.inner_tol)
         if not all(0 < t < np.inf for t in tolerances):
             raise ParameterError("tolerances must be positive and finite")
         if not 0.0 < self.eta < 1.0:
             raise ParameterError("fraction-to-boundary parameter must be in (0, 1)")
-        if self.backend not in ("auto", "dense", "cg"):
-            raise ParameterError(f"unknown linear backend {self.backend!r}")
+        if not 0 < self.centering_exponent < np.inf:
+            raise ParameterError("centering exponent must be positive and finite")
         if self.max_iterations < 0 or self.cg_max_iterations < 1:
             raise ParameterError("iteration caps must be >= 0 (outer) and >= 1 (CG)")
 
@@ -212,38 +212,9 @@ class _TvNewton:
         return dz, dy, dx
 
 
-_DENSE_MAX_N = 1024  # pixels; n <= 32
-
-
 def _image_block_factorizer(problem, config):
-    """Choose the image-block backend (auto: dense iff N <= _DENSE_MAX_N) and
-    compute its A^T A term once; return factor(G) -> solve(rhs)."""
+    """Compute diag(A^T A) once per solve; return factor(G) -> solve(rhs)."""
     A, N = problem.A.matrix, problem.N
-    backend = config.backend
-    if backend == "auto":
-        backend = "dense" if N <= _DENSE_MAX_N else "cg"
-
-    if backend == "dense":
-        ata = (A.T @ A).toarray()
-
-        def factor_dense(G):
-            K = ata + G.toarray()
-            try:
-                chol = la.cho_factor(K)
-            except la.LinAlgError:
-                # K is positive definite in exact arithmetic but roundoff can
-                # make it indefinite when the barrier weights span ~16 orders
-                # of magnitude; a relative jitter restores factorability
-                jitter = 1e-14 * np.trace(K) / K.shape[0]
-                try:
-                    chol = la.cho_factor(K + jitter * np.eye(K.shape[0]))
-                except la.LinAlgError as exc:
-                    raise SolverFailureError(
-                        f"dense factorization failed: {exc}") from exc
-            return lambda rhs: la.cho_solve(chol, rhs)
-
-        return factor_dense
-
     ata_diag = np.asarray(A.multiply(A).sum(axis=0)).ravel()
 
     def factor_cg(G):
@@ -273,7 +244,7 @@ def _image_block_factorizer(problem, config):
 
 
 def _newton_builder(problem, config):
-    """(z, x~) -> Newton solver at that iterate, with the backend fixed here."""
+    """(z, x~) -> Newton solver at that iterate."""
     if isinstance(problem, QpProblem):
         return partial(_TvNewton, problem, factor=_image_block_factorizer(problem, config))
     return partial(_GenericNewton, problem)

@@ -70,7 +70,8 @@ def run_sweep(geom, g_tilde, alphas, resolutions, config=None, jobs=1):
     The sinogram is resolution-independent data: the same g_tilde feeds
     every column, while the system matrix is re-assembled per resolution.
     Solver failures are NaN cells with status ``"solver_failure"``, not
-    raised.  ``jobs > 1`` worker processes give the same table as one.
+    raised.  ``jobs > 1`` worker processes (at most one per cell) give the
+    same table as one.
     """
     config = config or SolverConfig()
     alphas = np.sort(np.asarray(alphas, dtype=float))
@@ -88,9 +89,11 @@ def run_sweep(geom, g_tilde, alphas, resolutions, config=None, jobs=1):
                for n in resolutions}
     keys = [(alpha, n) for n in resolutions for alpha in alphas]
     solve = partial(_solve_cell, g_tilde, config)
+    # the pool forks all its workers at the first submit: no more than cells
+    workers = min(jobs, len(keys))
     with ExitStack() as stack:
-        mapper = (stack.enter_context(ProcessPoolExecutor(max_workers=jobs)).map
-                  if jobs > 1 else map)
+        mapper = (stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+                  if workers > 1 else map)
         results = list(mapper(solve, [a for a, _ in keys], [systems[n] for _, n in keys]))
     return SweepTable.from_cells(dict(zip(keys, results)))
 

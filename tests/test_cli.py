@@ -167,6 +167,8 @@ class TestConfigMerging:
                    "--angles", "12", "--detectors", "12") == 0
         cfg = tmp_path / "bad.cfg"
         for line in ("solver.eta=2", "solver.max_iterations=abc", "solver.etaa=0.5",
+                     "solver.backend=cg", *(f"solver.centering_exponent={v}"
+                                            for v in ("nan", "inf", "-1", "0")),
                      "geometry.num_angles=abc", "geometry.nm_angles=6"):
             cfg.write_text(line + "\n")
             code = run(tmp_path, "reconstruct", "--sino", str(tmp_path / "sinogram.sino"),
@@ -191,6 +193,8 @@ class TestConfigMerging:
             ["sweep", "--sino", sino, "--resolutions", "8", "--alphas", "1,1", *geometry],
             ["sweep", "--sino", sino, "--resolutions", "8", "--jobs", "0", *geometry],
             ["reconstruct", "--sino", sino, "--n", "8", "--alpha", "nan", *geometry],
+            ["reconstruct", "--sino", sino, "--n", "8", "--alpha", "0.1",
+             "--solver-backend", "cg", *geometry],
             ["reconstruct", "--sino", sino, "--n", "8", "--alpha", "0.1",
              "--config", str(not_utf8), *geometry],
             ["report", "--table", str(not_utf8)],

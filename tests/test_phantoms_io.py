@@ -234,22 +234,29 @@ class TestSweepCsv:
     HEADER = "alpha,n,tv,residual,iterations,status\n"
     ROW = ["0.1", "8", "1.5", "0.25", "12", "converged"]
 
-    @pytest.mark.parametrize("field", range(5))
-    def test_non_numeric_field_names_line(self, tmp_path, field):
-        bad = list(self.ROW)
-        bad[field] = "abc"
+    def assert_line_3_rejected(self, tmp_path, bad):
         path = tmp_path / "sweep.csv"
         path.write_text(self.HEADER + ",".join(self.ROW) + "\n" + ",".join(bad) + "\n")
         with pytest.raises(FormatError, match=r"sweep\.csv:3: malformed sweep row"):
             tv.read_sweep_csv(path)
 
-    @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", range(5))
+    def test_non_numeric_field_names_line(self, tmp_path, field):
+        bad = list(self.ROW)
+        bad[field] = "abc"
+        self.assert_line_3_rejected(tmp_path, bad)
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "-1.0", "0.0"])
     def test_non_finite_alpha_names_line(self, tmp_path, alpha):
         bad = [alpha] + self.ROW[1:]
-        path = tmp_path / "sweep.csv"
-        path.write_text(self.HEADER + ",".join(self.ROW) + "\n" + ",".join(bad) + "\n")
-        with pytest.raises(FormatError, match=r"sweep\.csv:3: malformed sweep row"):
-            tv.read_sweep_csv(path)
+        self.assert_line_3_rejected(tmp_path, bad)
+
+    @pytest.mark.parametrize("field, value", [(1, "0"), (1, "-5"), (4, "-3")],
+                             ids=["n=0", "n=-5", "iterations=-3"])
+    def test_out_of_range_count_names_line(self, tmp_path, field, value):
+        bad = list(self.ROW)
+        bad[field] = value
+        self.assert_line_3_rejected(tmp_path, bad)
 
     def test_duplicate_cell_rejected(self, tmp_path):
         path = tmp_path / "sweep.csv"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -182,12 +184,20 @@ class TestReconstruct:
     def test_cg_cap_hit_fails_with_report(self, small_geom):
         A = tv.assemble_system_matrix(small_geom, 8)
         g = tv.forward_project(A, tv.render_phantom(tv.Phantom.disc(r=0.3), 8))
-        config = tv.SolverConfig(backend="cg", cg_max_iterations=1)
+        config = tv.SolverConfig(cg_max_iterations=1)
         with pytest.warns(UserWarning, match=r"inner CG hit the iteration cap \(1\)"):
             with pytest.raises(SolverFailureError) as info:
                 tv.reconstruct(A, g, 0.1, config=config)
         assert info.value.residual is not None
         assert info.value.report.reason == "solver_failure"
+
+    def test_backend_argument_is_ignored(self, small_geom):
+        assert "backend" not in [f.name for f in dataclasses.fields(tv.SolverConfig)]
+        A = tv.assemble_system_matrix(small_geom, 8)
+        g = tv.forward_project(A, tv.render_phantom(tv.Phantom.disc(r=0.3), 8))
+        f, _ = tv.reconstruct(A, g, 0.1)
+        f_dense, _ = tv.reconstruct(A, g, 0.1, config=tv.SolverConfig(backend="dense"))
+        assert f_dense.values.tobytes() == f.values.tobytes()
 
     def test_constant_image_large_alpha(self, small_geom):
         A = tv.assemble_system_matrix(small_geom, 6)

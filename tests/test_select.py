@@ -268,7 +268,7 @@ class TestRunSweep:
         converging = dict(alphas=[0.01, 0.1, 1.0], resolutions=[8, 16])
         # CG capped at one iteration: the n=2 cells converge, the n=4 cells fail
         failing = dict(alphas=[0.01, 1.0], resolutions=[2, 4],
-                       config=tv.SolverConfig(backend="cg", cg_max_iterations=1))
+                       config=tv.SolverConfig(cg_max_iterations=1))
         serial = [tv.run_sweep(small_geom, g, jobs=1, **converging)]
         with pytest.warns(UserWarning, match=r"inner CG hit the iteration cap \(1\)"):
             serial.append(tv.run_sweep(small_geom, g, jobs=1, **failing))
@@ -281,6 +281,29 @@ class TestRunSweep:
                 for name in ("alphas", "tv", "residual", "iterations", "status"):
                     # NaN cells compare equal to NaN cells only
                     np.testing.assert_array_equal(getattr(other, name), getattr(table, name))
+
+    def test_workers_capped_at_cell_count(self, small_geom, monkeypatch):
+        asked = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(tv.select, "ProcessPoolExecutor", RecordingPool)
+        g = tv.forward_project(tv.assemble_system_matrix(small_geom, 2),
+                               tv.render_phantom(tv.Phantom.disc(r=0.3), 2))
+        table = tv.run_sweep(small_geom, g, alphas=[0.1, 1.0], resolutions=[2], jobs=10**6)
+        assert asked == [2]
+        assert table.tv.shape == (2, 1)
 
     @pytest.mark.parametrize("grid", [
         dict(alphas=[0.1], resolutions=[4, 4]),
