@@ -17,7 +17,7 @@ from .errors import FormatError
 from .geometry import ScanGeometry, Sinogram
 from .grid import ImageGrid
 from .phantoms import Phantom
-from .table import SweepTable
+from .table import CELL_STATUSES, SweepTable
 
 __all__ = [
     "write_image", "read_image", "write_pgm",
@@ -193,6 +193,11 @@ def read_sweep_csv(path):
                 raise ValueError(f"n {n!r} is below 1")
             if cell[2] < 0:
                 raise ValueError(f"iterations {it!r} is negative")
+            for name, value in zip(("tv", "residual"), cell):
+                if not (np.isnan(value) or 0 <= value < np.inf):
+                    raise ValueError(f"{name} {value!r} is neither NaN nor finite and >= 0")
+            if st not in CELL_STATUSES:
+                raise ValueError(f"status {st!r} is not one of {', '.join(CELL_STATUSES)}")
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: malformed sweep row {row!r}: {exc}") from exc
         if key in cells:

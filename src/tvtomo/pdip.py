@@ -19,7 +19,8 @@ equality duals leaves an SPD system
 
 solved by conjugate gradients, preconditioned by an exact splu factorization
 of the banded part G + diag(A^T A), with A^T A applied matrix-free as
-f -> A^T (A f).  diag(A^T A) is computed once per solve.
+f -> A^T (A f).  `_TvNewton` factors G + diag(A^T A) once per iterate and
+runs both CG solves of that iterate; diag(A^T A) is computed once per solve.
 SolverConfig is frozen; out-of-range values raise ParameterError (CLI exit 2).
 """
 
@@ -166,25 +167,47 @@ class _TvNewton:
 
     With d = x~/z split into blocks (d_f, d_hp, d_hm, d_vp, d_vm) and
     harmonic weights w = 1/(1/d+ + 1/d-), all split variables and equality
-    duals reduce to closed forms around the image-block SPD solve, which
-    `factor` (see _image_block_factorizer) prepares for this iterate.
+    duals reduce to closed forms around the image-block SPD solve
+    (A^T A + G) df = rhs, which `_solve_image_block` runs by CG with this
+    iterate's splu factor of G + diag(A^T A) (ata_diag) as preconditioner.
     """
 
-    def __init__(self, problem, z, x_tilde, factor):
+    def __init__(self, problem, z, x_tilde, ata_diag, config):
         self.ops = ops = problem.ops
         self.N = N = problem.N
+        self.A = problem.A.matrix
+        self.config = config
         self.diag = d = x_tilde / z
         self.d_f = d[:N]
         self.d_hp, self.d_hm = d[N : 2 * N], d[2 * N : 3 * N]
         self.d_vp, self.d_vm = d[3 * N : 4 * N], d[4 * N : 5 * N]
         self.w_h = 1.0 / (1.0 / self.d_hp + 1.0 / self.d_hm)
         self.w_v = 1.0 / (1.0 / self.d_vp + 1.0 / self.d_vm)
-        G = (
+        self.G = G = (
             sp.diags(self.d_f)
             + ops.d_h.T @ sp.diags(self.w_h) @ ops.d_h
             + ops.d_v.T @ sp.diags(self.w_v) @ ops.d_v
         ).tocsr()
-        self._solve_image_block = factor(G)
+        # A^T A enters the preconditioner only through its diagonal
+        try:
+            self._pre_lu = spla.splu((G + sp.diags(ata_diag)).tocsc())
+        except RuntimeError as exc:
+            raise SolverFailureError(f"preconditioner factorization failed: {exc}") from exc
+
+    def _solve_image_block(self, rhs):
+        A, G, N, config = self.A, self.G, self.N, self.config
+        op = spla.LinearOperator((N, N), matvec=lambda v: A.T @ (A @ v) + G @ v)
+        pre = spla.LinearOperator((N, N), matvec=self._pre_lu.solve)
+        sol, info = spla.cg(
+            op, rhs, rtol=config.inner_tol, atol=0.0,
+            maxiter=config.cg_max_iterations, M=pre,
+        )
+        if info > 0:
+            # accept the iterate; the caller verifies the overall residual
+            warnings.warn(f"inner CG hit the iteration cap ({info})")
+        elif info < 0:
+            raise SolverFailureError(f"inner CG breakdown (info={info})")
+        return sol
 
     def solve(self, p1, p2, p3):
         N, ops = self.N, self.ops
@@ -212,41 +235,12 @@ class _TvNewton:
         return dz, dy, dx
 
 
-def _image_block_factorizer(problem, config):
-    """Compute diag(A^T A) once per solve; return factor(G) -> solve(rhs)."""
-    A, N = problem.A.matrix, problem.N
-    ata_diag = np.asarray(A.multiply(A).sum(axis=0)).ravel()
-
-    def factor_cg(G):
-        # A^T A enters the preconditioner only through its diagonal
-        try:
-            pre_lu = spla.splu((G + sp.diags(ata_diag)).tocsc())
-        except RuntimeError as exc:
-            raise SolverFailureError(f"preconditioner factorization failed: {exc}") from exc
-
-        def solve(rhs):
-            op = spla.LinearOperator((N, N), matvec=lambda v: A.T @ (A @ v) + G @ v)
-            pre = spla.LinearOperator((N, N), matvec=pre_lu.solve)
-            sol, info = spla.cg(
-                op, rhs, rtol=config.inner_tol, atol=0.0,
-                maxiter=config.cg_max_iterations, M=pre,
-            )
-            if info > 0:
-                # accept the iterate; the caller verifies the overall residual
-                warnings.warn(f"inner CG hit the iteration cap ({info})")
-            elif info < 0:
-                raise SolverFailureError(f"inner CG breakdown (info={info})")
-            return sol
-
-        return solve
-
-    return factor_cg
-
-
 def _newton_builder(problem, config):
     """(z, x~) -> Newton solver at that iterate."""
     if isinstance(problem, QpProblem):
-        return partial(_TvNewton, problem, factor=_image_block_factorizer(problem, config))
+        A = problem.A.matrix
+        ata_diag = np.asarray(A.multiply(A).sum(axis=0)).ravel()
+        return partial(_TvNewton, problem, ata_diag=ata_diag, config=config)
     return partial(_GenericNewton, problem)
 
 
@@ -304,10 +298,12 @@ def pdip_solve(problem, config=None):
 
     history = []
     new_newton = _newton_builder(problem, config)
-    reason = "max_iterations"
-    mu = z @ x / nz
-    r_primal = r_dual = np.inf
-    it = 0
+
+    def report(reason, objective):
+        return ConvergenceReport(
+            iterations=it, reason=reason, r_primal=r_primal, r_dual=r_dual,
+            mu=mu, objective=objective, history=history,
+        )
 
     for it in range(config.max_iterations + 1):
         Qz = problem.apply_Q(z)
@@ -317,15 +313,12 @@ def pdip_solve(problem, config=None):
         r_primal = float(np.linalg.norm(r_primal_vec))
         mu = float(z @ x) / nz
 
-        if (
+        converged = (
             r_primal / norm_b <= config.tol_primal
             and r_dual / norm_c <= config.tol_dual
             and mu <= config.tol_gap
-        ):
-            reason = "converged"
-            history.append((it, mu, r_primal, r_dual, 0.0, 0.0))
-            break
-        if it == config.max_iterations:
+        )
+        if converged or it == config.max_iterations:
             history.append((it, mu, r_primal, r_dual, 0.0, 0.0))
             break
 
@@ -346,10 +339,7 @@ def pdip_solve(problem, config=None):
             _check_newton_residual(problem, newton, dz, dy, p1, p2, p3,
                                    max(config.inner_tol * 1e3, 1e-6))
         except SolverFailureError as exc:
-            exc.report = ConvergenceReport(
-                iterations=it, reason="solver_failure", r_primal=r_primal,
-                r_dual=r_dual, mu=mu, objective=problem.objective(z), history=history,
-            )
+            exc.report = report("solver_failure", problem.objective(z))
             raise
 
         lam_p = min(1.0, config.eta * _step_to_boundary(z, dz))
@@ -361,28 +351,21 @@ def pdip_solve(problem, config=None):
 
         if not (np.all(z > 0) and np.all(x > 0) and np.all(np.isfinite(z))):
             raise SolverFailureError(
-                "iterate left the strict interior",
-                report=ConvergenceReport(
-                    iterations=it, reason="solver_failure", r_primal=r_primal,
-                    r_dual=r_dual, mu=mu, objective=float("nan"), history=history,
-                ),
+                "iterate left the strict interior", report=report("solver_failure", float("nan"))
             )
 
-    report = ConvergenceReport(
-        iterations=it, reason=reason, r_primal=r_primal, r_dual=r_dual,
-        mu=mu, objective=problem.objective(z), history=history,
-    )
+    final = report("converged" if converged else "max_iterations", problem.objective(z))
 
     if isinstance(problem, QpProblem):
         f = z[: problem.N].copy()
         worst = float(f.min()) if f.size else 0.0
         if worst < _NEGATIVE_CLAMP:
             raise SolverFailureError(
-                f"reconstruction has negative pixel {worst:.3e}", report=report
+                f"reconstruction has negative pixel {worst:.3e}", report=final
             )
         np.clip(f, 0.0, None, out=f)
-        return ImageGrid(problem.n, f), report
-    return z, report
+        return ImageGrid(problem.n, f), final
+    return z, final
 
 
 def reconstruct(A, g_tilde, alpha, config=None, ops=None):

@@ -84,7 +84,8 @@ class Phantom:
             raise ParameterError("polygon value must be nonnegative")
         return cls(
             kind="piecewise-polygon",
-            params={"vertices": verts, "value": float(value)},
+            params={"vertices": [(float(x), float(y)) for x, y in verts],
+                    "value": float(value)},
         )
 
     @classmethod
@@ -130,7 +131,7 @@ def render_phantom(p, n):
             mat = np.where(dist2 < r * r, v, mat)
         return ImageGrid.from_matrix(mat)
     # piecewise-polygon
-    verts = p.params["vertices"]
+    verts = np.asarray(p.params["vertices"])
     mat = np.where(_points_in_polygon(x, y, verts), p.params["value"], 0.0)
     return ImageGrid.from_matrix(mat)
 
@@ -165,7 +166,10 @@ def add_noise(s, spec):
     }
     if spec.relative_level == 0.0:
         return Sinogram(geometry=s.geometry, data=s.data.copy(), noise_meta=meta)
-    sigma = spec.relative_level * float(np.max(s.data))
+    peak = float(np.max(s.data))
+    if peak < 0:
+        raise ParameterError(f"noise scale level * max(g) needs max(g) >= 0, got {peak!r}")
+    sigma = spec.relative_level * peak
     rng = np.random.default_rng(spec.seed)
     e = rng.normal(0.0, sigma, size=s.data.size)
     meta["sigma"] = sigma

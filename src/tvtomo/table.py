@@ -10,6 +10,9 @@ from .errors import NoSelectionError, ResolutionMismatchError, ShapeMismatchErro
 
 __all__ = ["SweepTable"]
 
+# every status a sweep cell can have: a ConvergenceReport reason or "absent"
+CELL_STATUSES = ("converged", "max_iterations", "solver_failure", "absent")
+
 
 @dataclass
 class SweepTable:

@@ -211,9 +211,13 @@ class TestConfigMerging:
         table = tv.SweepTable(alphas=[0.1, 1.0], resolutions=[8, 16], tv=np.ones((2, 2)),
                               residual=np.ones((2, 2)))
         tv.write_sweep_csv(tmp_path / "sweep.csv", table)
+        negative = tv.Sinogram(geometry=tv.ScanGeometry(num_angles=2, num_detector_pixels=3),
+                               data=np.full(6, -1.0))
+        tv.write_sinogram(tmp_path / "negative.sino", negative)
         cases = [
             ["noise", "--sino", str(tmp_path / "sinogram.sino"), "--level", "0.1",
              "--seed", "-1"],
+            ["noise", "--sino", str(tmp_path / "negative.sino"), "--level", "0.1"],
             ["select", "--table", str(tmp_path / "sweep.csv"), "--method", "multires",
              "--tol", "nan"],
             *(["report", "--table", str(tmp_path / "sweep.csv"), "--tol", tol]

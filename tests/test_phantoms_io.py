@@ -97,6 +97,14 @@ class TestNoise:
         with pytest.raises(ParameterError):
             tv.NoiseSpec(relative_level=0.1, seed=seed)
 
+    def test_negative_maximum_rejected(self):
+        g = tv.Sinogram(geometry=tv.ScanGeometry(num_angles=2, num_detector_pixels=3),
+                        data=np.full(6, -1.0))
+        with pytest.raises(ParameterError, match=r"max\(g\) >= 0"):
+            tv.add_noise(g, tv.NoiseSpec(relative_level=0.1))
+        # a zero level never scales by the maximum, so it still passes through
+        assert np.array_equal(tv.add_noise(g, tv.NoiseSpec(relative_level=0.0)).data, g.data)
+
     def test_metadata_recorded(self):
         g = self.make_sino()
         noisy = tv.add_noise(g, tv.NoiseSpec(relative_level=0.02, seed=7))
@@ -251,8 +259,13 @@ class TestSweepCsv:
         bad = [alpha] + self.ROW[1:]
         self.assert_line_3_rejected(tmp_path, bad)
 
-    @pytest.mark.parametrize("field, value", [(1, "0"), (1, "-5"), (4, "-3")],
-                             ids=["n=0", "n=-5", "iterations=-3"])
+    @pytest.mark.parametrize("field, value", [
+        (1, "0"), (1, "-5"), (4, "-3"),
+        (2, "-1.5"), (2, "inf"), (2, "-inf"), (3, "-0.25"), (3, "inf"),
+        (5, "bogus"), (5, ""), (5, "Converged"),
+    ], ids=["n=0", "n=-5", "iterations=-3",
+            "tv=-1.5", "tv=inf", "tv=-inf", "residual=-0.25", "residual=inf",
+            "status=bogus", "status=empty", "status=Converged"])
     def test_out_of_range_count_names_line(self, tmp_path, field, value):
         bad = list(self.ROW)
         bad[field] = value
@@ -320,6 +333,24 @@ class TestPhantomAndConfigFiles:
         img_a = tv.render_phantom(p, 32)
         img_b = tv.render_phantom(back, 32)
         assert np.array_equal(img_a.values, img_b.values)
+
+    def test_polygon_round_trip(self, tmp_path):
+        p = tv.Phantom.polygon([(0.25, 0.25), (0.75, 0.25), (0.5, 0.75)], value=2.0)
+        path = tmp_path / "p.phantom"
+        tv.write_phantom_file(path, p)
+        assert "vertices=0.25:0.25,0.75:0.25,0.5:0.75\n" in path.read_text()
+        back = tv.read_phantom_file(path)
+        assert back.params == p.params
+        img_a = tv.render_phantom(p, 32)
+        img_b = tv.render_phantom(back, 32)
+        assert img_a.values.tobytes() == img_b.values.tobytes()
+
+    def test_empty_round_trip(self, tmp_path):
+        path = tmp_path / "p.phantom"
+        tv.write_phantom_file(path, tv.Phantom.empty())
+        back = tv.read_phantom_file(path)
+        assert back == tv.Phantom.empty()
+        assert not np.any(tv.render_phantom(back, 8).values)
 
     def test_unknown_kind(self, tmp_path):
         path = tmp_path / "p.phantom"

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import tvtomo as tv
 from tvtomo.errors import ParameterError, SolverFailureError
@@ -190,6 +191,45 @@ class TestReconstruct:
                 tv.reconstruct(A, g, 0.1, config=config)
         assert info.value.residual is not None
         assert info.value.report.reason == "solver_failure"
+
+    @staticmethod
+    def count_calls(monkeypatch, name):
+        calls = []
+        real = getattr(spla, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(spla, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("cap, reason", [(2000, "converged"), (5, "solver_failure")])
+    def test_one_factor_and_two_cg_solves_per_iteration(self, small_geom, monkeypatch,
+                                                         cap, reason):
+        A = tv.assemble_system_matrix(small_geom, 8)
+        g = tv.forward_project(A, tv.render_phantom(tv.Phantom.disc(r=0.3), 8))
+        factors = self.count_calls(monkeypatch, "splu")
+        cg_calls = self.count_calls(monkeypatch, "cg")
+        config = tv.SolverConfig(cg_max_iterations=cap)
+        if reason == "converged":
+            _, report = tv.reconstruct(A, g, 0.1, config=config)
+            # the last iterate only checks convergence and solves nothing
+            solved = report.iterations
+            rows = report.iterations + 1
+        else:
+            with pytest.warns(UserWarning, match=r"inner CG hit the iteration cap"):
+                with pytest.raises(SolverFailureError) as info:
+                    tv.reconstruct(A, g, 0.1, config=config)
+            report = info.value.report
+            assert report.iterations >= 1  # fails after a completed step
+            # the failing iterate factors and solves, but adds no row
+            solved = report.iterations + 1
+            rows = report.iterations
+        assert report.reason == reason
+        assert len(factors) == solved
+        assert len(cg_calls) == 2 * solved
+        assert [row[0] for row in report.history] == list(range(rows))
 
     def test_backend_argument_is_ignored(self, small_geom):
         assert "backend" not in [f.name for f in dataclasses.fields(tv.SolverConfig)]
