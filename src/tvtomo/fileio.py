@@ -33,11 +33,47 @@ _IMG_MAGIC = b"TVTOMO-IMG"
 _SINO_MAGIC = b"TVTOMO-SINO"
 
 
-def _read_header_line(raw, path):
+def _write_raw(path, magic, dims, values):
+    """Header line '<magic> <dims...>', then the values as row-major LE float64."""
+    with open(path, "wb") as fh:
+        fh.write(b" ".join([magic, *(b"%d" % d for d in dims)]) + b"\n")
+        fh.write(values.astype("<f8").tobytes())
+
+
+def _read_raw(path, magic, num_dims):
+    """(dims, flat float64 payload) of a raw file written by `_write_raw`.
+
+    Every malformed header, size or value is a FormatError at its byte offset.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
     nl = raw.find(b"\n")
     if nl < 0:
         raise FormatError(f"{path}: missing header line terminator", byte_offset=len(raw))
-    return raw[:nl], nl + 1
+    header, offset = raw[:nl], nl + 1
+    parts = header.split()
+    if len(parts) != num_dims + 1 or parts[0] != magic:
+        raise FormatError(f"{path}: bad {magic.decode()} header {header!r}", byte_offset=0)
+    try:
+        dims = [int(p) for p in parts[1:]]
+    except ValueError:
+        raise FormatError(f"{path}: non-integer header fields {header!r}", byte_offset=len(magic) + 1)
+    if min(dims) < 1:
+        raise FormatError(f"{path}: dimensions {dims} are not positive", byte_offset=len(magic) + 1)
+    # one size n means an n x n image
+    expected = dims[0] * dims[-1] * 8
+    payload = raw[offset:]
+    if len(payload) != expected:
+        raise FormatError(
+            f"{path}: payload has {len(payload)} bytes, expected {expected}",
+            byte_offset=offset + min(len(payload), expected),
+        )
+    values = np.frombuffer(payload, dtype="<f8")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise FormatError(f"{path}: non-finite value {values[bad[0]]!r}",
+                          byte_offset=offset + 8 * int(bad[0]))
+    return dims, values
 
 
 def _text_lines(path, newline=None):
@@ -51,33 +87,12 @@ def _text_lines(path, newline=None):
 
 def write_image(path, img):
     """Raw image file: header 'TVTOMO-IMG <n>' + row-major LE float64."""
-    with open(path, "wb") as fh:
-        fh.write(b"%s %d\n" % (_IMG_MAGIC, img.n))
-        fh.write(img.to_matrix().astype("<f8").tobytes(order="C"))
+    _write_raw(path, _IMG_MAGIC, [img.n], img.to_matrix())
 
 
 def read_image(path):
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    header, offset = _read_header_line(raw, path)
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != _IMG_MAGIC:
-        raise FormatError(f"{path}: bad image header {header!r}", byte_offset=0)
-    try:
-        n = int(parts[1])
-    except ValueError:
-        raise FormatError(f"{path}: non-integer grid size {parts[1]!r}", byte_offset=len(_IMG_MAGIC) + 1)
-    if n < 1:
-        raise FormatError(f"{path}: grid size {n} is not positive", byte_offset=len(_IMG_MAGIC) + 1)
-    expected = n * n * 8
-    payload = raw[offset:]
-    if len(payload) != expected:
-        raise FormatError(
-            f"{path}: payload has {len(payload)} bytes, expected {expected}",
-            byte_offset=offset + min(len(payload), expected),
-        )
-    mat = np.frombuffer(payload, dtype="<f8").reshape(n, n)
-    return ImageGrid.from_matrix(mat)
+    (n,), values = _read_raw(path, _IMG_MAGIC, 1)
+    return ImageGrid.from_matrix(values.reshape(n, n))
 
 
 def write_pgm(path, img, vmin=0.0, vmax=None):
@@ -101,9 +116,7 @@ def write_sinogram(path, s):
     geom = s.geometry
     if geom is None:
         raise FormatError("sinogram without geometry cannot be written in raw format")
-    with open(path, "wb") as fh:
-        fh.write(b"%s %d %d\n" % (_SINO_MAGIC, geom.num_angles, geom.num_detector_pixels))
-        fh.write(s.data.astype("<f8").tobytes())
+    _write_raw(path, _SINO_MAGIC, [geom.num_angles, geom.num_detector_pixels], s.data)
 
 
 def read_sinogram(path, geometry=None):
@@ -113,31 +126,14 @@ def read_sinogram(path, geometry=None):
     angles on [0, pi) and a diagonal-spanning detector is attached (the
     raw header only fixes the array dimensions).
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    header, offset = _read_header_line(raw, path)
-    parts = header.split()
-    if len(parts) != 3 or parts[0] != _SINO_MAGIC:
-        raise FormatError(f"{path}: bad sinogram header {header!r}", byte_offset=0)
-    try:
-        num_angles, num_det = int(parts[1]), int(parts[2])
-    except ValueError:
-        raise FormatError(f"{path}: non-integer header fields {header!r}", byte_offset=len(_SINO_MAGIC) + 1)
-    expected = num_angles * num_det * 8
-    payload = raw[offset:]
-    if len(payload) != expected:
-        raise FormatError(
-            f"{path}: payload has {len(payload)} bytes, expected {expected}",
-            byte_offset=offset + min(len(payload), expected),
-        )
-    data = np.frombuffer(payload, dtype="<f8").copy()
+    (num_angles, num_det), data = _read_raw(path, _SINO_MAGIC, 2)
     if geometry is None:
         geometry = ScanGeometry(num_angles=num_angles, num_detector_pixels=num_det)
     elif (geometry.num_angles, geometry.num_detector_pixels) != (num_angles, num_det):
         raise FormatError(
             f"{path}: header dims ({num_angles}, {num_det}) do not match supplied geometry"
         )
-    return Sinogram(geometry=geometry, data=data)
+    return Sinogram(geometry=geometry, data=data.copy())
 
 
 def write_sinogram_csv(path, s):
@@ -166,16 +162,12 @@ def read_sinogram_csv(path, geometry=None):
 
 def write_sweep_csv(path, table):
     """Sweep table rows: alpha,n,tv,residual,iterations,status."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["alpha", "n", "tv", "residual", "iterations", "status"])
-        for i, alpha in enumerate(table.alphas):
-            for j, n in enumerate(table.resolutions):
-                w.writerow([
-                    repr(float(alpha)), n,
-                    repr(float(table.tv[i, j])), repr(float(table.residual[i, j])),
-                    int(table.iterations[i, j]), table.status[i, j],
-                ])
+    write_curve_csv(path, {
+        "alpha": np.repeat(table.alphas, len(table.resolutions)),
+        "n": np.tile(table.resolutions, table.alphas.size),
+        "tv": table.tv, "residual": table.residual,
+        "iterations": table.iterations, "status": table.status,
+    })
 
 
 def read_sweep_csv(path):

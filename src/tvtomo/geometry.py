@@ -82,14 +82,9 @@ class ScanGeometry:
         return self.num_angles * self.num_detector_pixels
 
     @classmethod
-    def default_parallel(cls, n, num_angles=90):
-        """Parallel beam, uniform angles on [0, pi), diagonal-spanning detector."""
-        return cls(
-            mode="parallel",
-            num_angles=num_angles,
-            num_detector_pixels=int(np.ceil(1.5 * n)),
-            detector_extent=float(np.sqrt(2.0)),
-        )
+    def default_parallel(cls, n):
+        """The default 90-angle parallel beam with ceil(1.5 n) detector pixels."""
+        return cls(num_detector_pixels=int(np.ceil(1.5 * n)))
 
     def detector_offsets(self):
         """Detector pixel-center coordinates along the detector line."""

@@ -47,6 +47,9 @@ __all__ = [
 ]
 
 _NEGATIVE_CLAMP = -1e-12
+_ETA = 0.995  # fraction-to-boundary
+_CENTERING_EXPONENT = 3.0  # Mehrotra: sigma = (mu_aff / mu) ** 3
+_CG_RTOL = 1e-9  # inner CG; the Newton-residual limits are multiples of it
 
 
 @dataclass(frozen=True)
@@ -55,21 +58,14 @@ class SolverConfig:
     tol_dual: float = 1e-8
     tol_gap: float = 1e-8
     max_iterations: int = 100
-    eta: float = 0.995  # fraction-to-boundary
-    centering_exponent: float = 3.0
-    inner_tol: float = 1e-9
     cg_max_iterations: int = 2000
     # accepted and ignored: benchmarks/workloads.py warm_up still passes it
     backend: InitVar[str] = "auto"
 
     def __post_init__(self, backend):
-        tolerances = (self.tol_primal, self.tol_dual, self.tol_gap, self.inner_tol)
+        tolerances = (self.tol_primal, self.tol_dual, self.tol_gap)
         if not all(0 < t < np.inf for t in tolerances):
             raise ParameterError("tolerances must be positive and finite")
-        if not 0.0 < self.eta < 1.0:
-            raise ParameterError("fraction-to-boundary parameter must be in (0, 1)")
-        if not 0 < self.centering_exponent < np.inf:
-            raise ParameterError("centering exponent must be positive and finite")
         if self.max_iterations < 0 or self.cg_max_iterations < 1:
             raise ParameterError("iteration caps must be >= 0 (outer) and >= 1 (CG)")
 
@@ -199,7 +195,7 @@ class _TvNewton:
         op = spla.LinearOperator((N, N), matvec=lambda v: A.T @ (A @ v) + G @ v)
         pre = spla.LinearOperator((N, N), matvec=self._pre_lu.solve)
         sol, info = spla.cg(
-            op, rhs, rtol=config.inner_tol, atol=0.0,
+            op, rhs, rtol=_CG_RTOL, atol=0.0,
             maxiter=config.cg_max_iterations, M=pre,
         )
         if info > 0:
@@ -262,14 +258,13 @@ def solve_newton_system(problem, state, rhs, config=None):
 
     Returns (dz, dy, dx~) with dx~ recovered by back-substitution.  Raises
     SolverFailureError (carrying the achieved residual) when the linear
-    solve does not reach the configured inner tolerance.
+    solve does not reach the inner tolerance.
     """
     config = config or SolverConfig()
     p1, p2, p3 = (np.asarray(v, dtype=float) for v in rhs)
     newton = _newton_builder(problem, config)(state.z, state.x_tilde)
     dz, dy, dx = newton.solve(p1, p2, p3)
-    _check_newton_residual(problem, newton, dz, dy, p1, p2, p3,
-                           max(config.inner_tol * 100, 1e-8))
+    _check_newton_residual(problem, newton, dz, dy, p1, p2, p3, _CG_RTOL * 100)
     return dz, dy, dx
 
 
@@ -332,18 +327,17 @@ def pdip_solve(problem, config=None):
             a_p = min(1.0, _step_to_boundary(z, dz_a))
             a_d = min(1.0, _step_to_boundary(x, dx_a))
             mu_aff = float((z + a_p * dz_a) @ (x + a_d * dx_a)) / nz
-            sigma = min(1.0, (max(mu_aff, 0.0) / mu) ** config.centering_exponent)
+            sigma = min(1.0, (max(mu_aff, 0.0) / mu) ** _CENTERING_EXPONENT)
             # corrector with Mehrotra second-order term
             p3 = sigma * mu / x - z - dz_a * dx_a / x
             dz, dy, dx = newton.solve(p1, p2, p3)
-            _check_newton_residual(problem, newton, dz, dy, p1, p2, p3,
-                                   max(config.inner_tol * 1e3, 1e-6))
+            _check_newton_residual(problem, newton, dz, dy, p1, p2, p3, _CG_RTOL * 1e3)
         except SolverFailureError as exc:
             exc.report = report("solver_failure", problem.objective(z))
             raise
 
-        lam_p = min(1.0, config.eta * _step_to_boundary(z, dz))
-        lam_d = min(1.0, config.eta * _step_to_boundary(x, dx))
+        lam_p = min(1.0, _ETA * _step_to_boundary(z, dz))
+        lam_d = min(1.0, _ETA * _step_to_boundary(x, dx))
         z = z + lam_p * dz
         y = y + lam_d * dy
         x = x + lam_d * dx

@@ -34,8 +34,8 @@ class Phantom:
 
     @classmethod
     def disc(cls, r=0.25, value=1.0, center=(0.5, 0.5)):
-        if r <= 0 or value < 0:
-            raise ParameterError("disc needs r > 0 and value >= 0")
+        if not (0 < r < np.inf and 0 <= value < np.inf):
+            raise ParameterError("disc needs finite r > 0 and value >= 0")
         cx, cy = center
         if not (r < cx < 1 - r and r < cy < 1 - r):
             raise ParameterError("disc must be contained in (0,1)^2")
@@ -51,6 +51,8 @@ class Phantom:
         shell containing a point.  Radii must be strictly decreasing."""
         radii = [r for r, _ in shells]
         values = [v for _, v in shells]
+        if not np.all(np.isfinite([*radii, *values, *center])):
+            raise ParameterError("shell radii, values and center must be finite")
         if any(np.diff(radii) >= 0):
             raise ParameterError("shell radii must be strictly decreasing")
         if min(values) < 0 or min(radii) <= 0:
@@ -78,10 +80,10 @@ class Phantom:
         verts = np.asarray(vertices, dtype=float)
         if verts.ndim != 2 or verts.shape[0] < 3 or verts.shape[1] != 2:
             raise ParameterError("polygon needs at least 3 (x, y) vertices")
-        if verts.min() <= 0 or verts.max() >= 1:
-            raise ParameterError("polygon must be contained in (0,1)^2")
-        if value < 0:
-            raise ParameterError("polygon value must be nonnegative")
+        if not np.all((verts > 0) & (verts < 1)):
+            raise ParameterError("polygon vertices must be finite and inside (0,1)^2")
+        if not 0 <= value < np.inf:
+            raise ParameterError("polygon value must be finite and nonnegative")
         return cls(
             kind="piecewise-polygon",
             params={"vertices": [(float(x), float(y)) for x, y in verts],
@@ -142,15 +144,12 @@ class NoiseSpec:
 
     relative_level: float
     seed: int = 0
-    distribution: str = "gaussian"
 
     def __post_init__(self):
         if not 0 <= self.relative_level < np.inf:
             raise ParameterError("relative noise level must be nonnegative and finite")
         if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
             raise ParameterError(f"noise seed must be a nonnegative integer, got {self.seed!r}")
-        if self.distribution != "gaussian":
-            raise ParameterError(f"unsupported distribution {self.distribution!r}")
 
 
 def add_noise(s, spec):
@@ -159,11 +158,7 @@ def add_noise(s, spec):
     Deterministic per seed (numpy PCG64 generator); the clean maximum sets
     the scale.  A zero level returns the data unchanged.
     """
-    meta = {
-        "relative_level": spec.relative_level,
-        "seed": spec.seed,
-        "distribution": spec.distribution,
-    }
+    meta = {"relative_level": spec.relative_level, "seed": spec.seed}
     if spec.relative_level == 0.0:
         return Sinogram(geometry=s.geometry, data=s.data.copy(), noise_meta=meta)
     peak = float(np.max(s.data))

@@ -45,8 +45,6 @@ class SCurvePrior:
     """A-priori TV sparsity level estimated from scaled prior images."""
 
     s_hat: float
-    per_image: np.ndarray = None
-    resolution: int = None
 
     def __post_init__(self):
         if self.s_hat <= 0:
@@ -139,7 +137,7 @@ def select_multiresolution(table, stability_tol=0.05):
     return float(table.alphas[idx]), diagnostics
 
 
-def estimate_s_hat(prior_images, A, g_tilde, ops=None):
+def estimate_s_hat(prior_images, A, g_tilde):
     """Estimate the target TV level from prior images of similar objects.
 
     Each prior is rescaled so its forward projection has the same norm as
@@ -149,8 +147,7 @@ def estimate_s_hat(prior_images, A, g_tilde, ops=None):
     if not prior_images:
         raise DegeneratePriorError("need at least one prior image")
     n = A.n
-    if ops is None:
-        ops = build_difference_operators(n)
+    ops = build_difference_operators(n)
     g_norm = float(np.linalg.norm(g_tilde.data))
     per_image = []
     for f_p in prior_images:
@@ -162,8 +159,7 @@ def estimate_s_hat(prior_images, A, g_tilde, ops=None):
         if proj_norm == 0.0:
             raise DegeneratePriorError("prior image has zero forward projection")
         per_image.append((g_norm / proj_norm) * tv_norm(f_p, ops))
-    per_image = np.asarray(per_image)
-    return SCurvePrior(s_hat=float(per_image.mean()), per_image=per_image, resolution=n)
+    return SCurvePrior(s_hat=float(np.mean(per_image)))
 
 
 def select_scurve(table, prior, n):

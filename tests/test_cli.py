@@ -169,6 +169,9 @@ class TestConfigMerging:
         for line in ("solver.eta=2", "solver.max_iterations=abc", "solver.etaa=0.5",
                      "solver.backend=cg", *(f"solver.centering_exponent={v}"
                                             for v in ("nan", "inf", "-1", "0")),
+                     # fixed constants of the solver, so unknown keys
+                     "solver.eta=0.9", "solver.centering_exponent=3",
+                     "solver.inner_tol=1e-9",
                      "geometry.num_angles=abc", "geometry.nm_angles=6"):
             cfg.write_text(line + "\n")
             code = run(tmp_path, "reconstruct", "--sino", str(tmp_path / "sinogram.sino"),
@@ -187,6 +190,11 @@ class TestConfigMerging:
         cases = [
             ["phantom", "--n", "8", "--kind", "shells", "--shells", "0.3:x"],
             ["phantom", "--n", "8", "--kind", "polygon", "--vertices", "0.2:0.2,0.8"],
+            ["phantom", "--n", "8", "--kind", "polygon", "--vertices",
+             "nan:0.5,0.5:0.2,0.7:0.7"],
+            ["phantom", "--n", "8", "--kind", "shells", "--shells", "0.3:1,nan:2"],
+            ["phantom", "--n", "8", "--kind", "shells", "--shells", "0.3:nan"],
+            ["phantom", "--n", "8", "--kind", "disc", "--value", "nan"],
             ["sweep", "--sino", sino, "--resolutions", "8,x", *geometry],
             ["sweep", "--sino", sino, "--resolutions", "8", "--alphas", "1,abc", *geometry],
             ["sweep", "--sino", sino, "--resolutions", "8,8", *geometry],

@@ -51,6 +51,23 @@ class TestPhantoms:
         assert centers[rr].mean() == pytest.approx(0.75, abs=0.02)
         assert centers[cc].mean() == pytest.approx(0.25, abs=0.02)
 
+    TRIANGLE = [(0.2, 0.5), (0.5, 0.2), (0.7, 0.7)]
+
+    @pytest.mark.parametrize("kind, args, kwargs", [
+        ("polygon", ([(np.nan, 0.5), (0.5, 0.2), (0.7, 0.7)],), {}),
+        ("polygon", (TRIANGLE,), {"value": np.nan}),
+        ("polygon", (TRIANGLE,), {"value": np.inf}),
+        ("nested_shells", ([(0.3, 1.0), (np.nan, 2.0)],), {}),
+        ("nested_shells", ([(0.3, np.nan)],), {}),
+        ("nested_shells", ([(0.3, 1.0), (0.2, np.inf)],), {}),
+        ("disc", (), {"value": np.nan}),
+    ], ids=["polygon-vertex-nan", "polygon-value-nan",
+            "polygon-value-inf", "shells-radius-nan", "shells-value-nan",
+            "shells-value-inf", "disc-value-nan"])
+    def test_non_finite_parameters_rejected(self, kind, args, kwargs):
+        with pytest.raises(ParameterError):
+            getattr(tv.Phantom, kind)(*args, **kwargs)
+
 
 class TestNoise:
     def make_sino(self):
@@ -212,6 +229,29 @@ class TestSinogramIo:
         path.write_text("1.0,2.0\nnot,numbers\n")
         with pytest.raises(FormatError):
             tv.read_sinogram_csv(path)
+
+    @pytest.mark.parametrize("raw", [
+        b"TVTOMO-SINO 0 0\n", b"TVTOMO-SINO -1 -1\n" + bytes(8), b"TVTOMO-SINO 2 0\n",
+    ], ids=["0x0", "-1x-1", "2x0"])
+    def test_non_positive_dims_offset(self, tmp_path, raw):
+        path = tmp_path / "s.sino"
+        path.write_bytes(raw)
+        with pytest.raises(FormatError) as exc:
+            tv.read_sinogram(path)
+        assert exc.value.byte_offset == len(b"TVTOMO-SINO ")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("reader, header", [
+    (tv.read_image, b"TVTOMO-IMG 2\n"), (tv.read_sinogram, b"TVTOMO-SINO 1 4\n"),
+], ids=["img", "sino"])
+def test_non_finite_payload_offset(tmp_path, reader, header, bad):
+    # the offset is that of the first non-finite value
+    path = tmp_path / "raw"
+    path.write_bytes(header + np.array([0.5, bad, 1.0, np.nan]).astype("<f8").tobytes())
+    with pytest.raises(FormatError) as exc:
+        reader(path)
+    assert exc.value.byte_offset == len(header) + 8
 
 
 class TestSweepCsv:
