@@ -55,6 +55,9 @@ class ScanGeometry:
     def __post_init__(self):
         if self.mode not in ("parallel", "fan"):
             raise InvalidGeometryError(f"unknown scan mode {self.mode!r}")
+        counts = (self.num_angles, self.num_detector_pixels)
+        if not all(isinstance(c, (int, np.integer)) for c in counts):
+            raise InvalidGeometryError(f"angle and detector counts must be integers: {counts}")
         if self.num_angles < 1 or self.num_detector_pixels < 1:
             raise InvalidGeometryError("need at least one angle and one detector pixel")
         if not 0 < self.detector_extent < np.inf:

@@ -19,7 +19,9 @@ equality duals leaves an SPD system
 
 solved by conjugate gradients, preconditioned by an exact splu factorization
 of the banded part G + diag(A^T A), with A^T A applied matrix-free as
-f -> A^T (A f).  `_TvNewton` factors G + diag(A^T A) once per iterate and
+f -> A^T (A f).  G + diag(A^T A) is symmetric, so splu orders its columns by
+minimum degree on A^T+A (MMD_AT_PLUS_A), which fills about half as much as
+the default COLAMD.  `_TvNewton` factors G + diag(A^T A) once per iterate and
 runs both CG solves of that iterate; diag(A^T A) is computed once per solve.
 SolverConfig is frozen; out-of-range values raise ParameterError (CLI exit 2).
 """
@@ -66,6 +68,9 @@ class SolverConfig:
         tolerances = (self.tol_primal, self.tol_dual, self.tol_gap)
         if not all(0 < t < np.inf for t in tolerances):
             raise ParameterError("tolerances must be positive and finite")
+        caps = (self.max_iterations, self.cg_max_iterations)
+        if not all(isinstance(c, (int, np.integer)) for c in caps):
+            raise ParameterError(f"iteration caps must be integers, got {caps}")
         if self.max_iterations < 0 or self.cg_max_iterations < 1:
             raise ParameterError("iteration caps must be >= 0 (outer) and >= 1 (CG)")
 
@@ -186,7 +191,9 @@ class _TvNewton:
         ).tocsr()
         # A^T A enters the preconditioner only through its diagonal
         try:
-            self._pre_lu = spla.splu((G + sp.diags(ata_diag)).tocsc())
+            # symmetric 5-point pattern: minimum degree on A^T+A halves COLAMD's fill
+            self._pre_lu = spla.splu((G + sp.diags(ata_diag)).tocsc(),
+                                     permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:
             raise SolverFailureError(f"preconditioner factorization failed: {exc}") from exc
 

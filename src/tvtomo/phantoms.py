@@ -49,6 +49,8 @@ class Phantom:
     def nested_shells(cls, shells, center=(0.5, 0.5)):
         """shells: [(radius, value), ...]; value applies to the innermost
         shell containing a point.  Radii must be strictly decreasing."""
+        if len(shells) == 0:
+            raise ParameterError("nested shells need at least one (radius, value) pair")
         radii = [r for r, _ in shells]
         values = [v for _, v in shells]
         if not np.all(np.isfinite([*radii, *values, *center])):

@@ -73,6 +73,9 @@ def run_sweep(geom, g_tilde, alphas, resolutions, config=None, jobs=1):
     """
     config = config or SolverConfig()
     alphas = np.sort(np.asarray(alphas, dtype=float))
+    resolutions = list(resolutions)
+    if not all(isinstance(r, (int, np.integer)) for r in resolutions):
+        raise ParameterError(f"resolutions must be integers, got {resolutions}")
     resolutions = sorted(int(r) for r in resolutions)
     if np.unique(alphas).size != alphas.size:
         raise ParameterError(f"duplicate alphas in {alphas.tolist()}")

@@ -68,6 +68,10 @@ class TestPhantoms:
         with pytest.raises(ParameterError):
             getattr(tv.Phantom, kind)(*args, **kwargs)
 
+    def test_empty_shells_rejected(self):
+        with pytest.raises(ParameterError, match="at least one"):
+            tv.Phantom.nested_shells([])
+
 
 class TestNoise:
     def make_sino(self):

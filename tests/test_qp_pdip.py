@@ -192,25 +192,42 @@ class TestReconstruct:
         assert info.value.residual is not None
         assert info.value.report.reason == "solver_failure"
 
+    @pytest.mark.parametrize("caps", [
+        dict(max_iterations=2.5), dict(max_iterations=10.0),
+        dict(cg_max_iterations=float("nan")), dict(cg_max_iterations="5"),
+    ], ids=["outer-2.5", "outer-10.0", "cg-nan", "cg-str"])
+    def test_non_integer_iteration_caps_rejected(self, caps):
+        with pytest.raises(ParameterError, match="integers"):
+            tv.SolverConfig(**caps)
+
+    def test_numpy_integer_iteration_caps_accepted(self, small_geom):
+        A = tv.assemble_system_matrix(small_geom, 8)
+        g = tv.forward_project(A, tv.render_phantom(tv.Phantom.disc(r=0.3), 8))
+        config = tv.SolverConfig(max_iterations=np.int64(3), cg_max_iterations=np.int32(2000))
+        _, report = tv.reconstruct(A, g, 0.1, config=config)
+        assert (report.iterations, report.reason) == (3, "max_iterations")
+
     @staticmethod
-    def count_calls(monkeypatch, name):
-        calls = []
+    def record_calls(monkeypatch, name, **forced):
+        """Wrap ``spla.<name>``, forcing ``forced`` keyword arguments; returns
+        the list each call's result is appended to."""
+        results = []
         real = getattr(spla, name)
 
-        def counting(*args, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
+        def recording(*args, **kwargs):
+            results.append(real(*args, **{**kwargs, **forced}))
+            return results[-1]
 
-        monkeypatch.setattr(spla, name, counting)
-        return calls
+        monkeypatch.setattr(spla, name, recording)
+        return results
 
     @pytest.mark.parametrize("cap, reason", [(2000, "converged"), (5, "solver_failure")])
     def test_one_factor_and_two_cg_solves_per_iteration(self, small_geom, monkeypatch,
                                                          cap, reason):
         A = tv.assemble_system_matrix(small_geom, 8)
         g = tv.forward_project(A, tv.render_phantom(tv.Phantom.disc(r=0.3), 8))
-        factors = self.count_calls(monkeypatch, "splu")
-        cg_calls = self.count_calls(monkeypatch, "cg")
+        factors = self.record_calls(monkeypatch, "splu")
+        cg_calls = self.record_calls(monkeypatch, "cg")
         config = tv.SolverConfig(cg_max_iterations=cap)
         if reason == "converged":
             _, report = tv.reconstruct(A, g, 0.1, config=config)
@@ -230,6 +247,29 @@ class TestReconstruct:
         assert len(factors) == solved
         assert len(cg_calls) == 2 * solved
         assert [row[0] for row in report.history] == list(range(rows))
+
+    @staticmethod
+    def fine_problem():
+        geom = tv.ScanGeometry(num_angles=12, num_detector_pixels=64)
+        A = tv.assemble_system_matrix(geom, 32)
+        return A, tv.forward_project(A, tv.render_phantom(tv.Phantom.disc(r=0.3), 32))
+
+    def test_preconditioner_fill_bound(self, monkeypatch):
+        A, g = self.fine_problem()
+        factors = self.record_calls(monkeypatch, "splu")
+        _, report = tv.reconstruct(A, g, 0.1)
+        assert report.reason == "converged"
+        assert len(factors) == report.iterations
+        # minimum degree on A^T+A fills 38,340; COLAMD's ordering fills 66,082
+        assert max(lu.L.nnz + lu.U.nnz for lu in factors) <= 45_000
+
+    def test_preconditioner_ordering_keeps_the_solution(self, monkeypatch):
+        A, g = self.fine_problem()
+        f, report = tv.reconstruct(A, g, 0.1)
+        self.record_calls(monkeypatch, "splu", permc_spec="COLAMD")
+        f_colamd, report_colamd = tv.reconstruct(A, g, 0.1)
+        assert report.iterations == report_colamd.iterations
+        assert tv.tv_norm(f) == pytest.approx(tv.tv_norm(f_colamd), rel=1e-9)
 
     def test_backend_argument_is_ignored(self, small_geom):
         assert "backend" not in [f.name for f in dataclasses.fields(tv.SolverConfig)]

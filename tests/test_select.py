@@ -1,3 +1,5 @@
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -320,6 +322,23 @@ class TestRunSweep:
         g = tv.Sinogram(geometry=small_geom, data=np.ones(small_geom.num_rays))
         with pytest.raises(ParameterError):
             tv.run_sweep(small_geom, g, **grid)
+
+    @pytest.mark.parametrize("count", [2, np.int64(2), 2.5, 2.0, np.nan, "2"],
+                             ids=["int", "np.int64", "2.5", "2.0", "nan", "str"])
+    def test_counts_must_be_integers(self, small_geom, count):
+        g = tv.forward_project(tv.assemble_system_matrix(small_geom, 2),
+                               tv.render_phantom(tv.Phantom.disc(r=0.3), 2))
+        calls = [
+            (tv.InvalidGeometryError, lambda: tv.ScanGeometry(num_angles=count)),
+            (tv.InvalidGeometryError, lambda: tv.ScanGeometry(num_detector_pixels=count)),
+            (ParameterError, lambda: tv.run_sweep(small_geom, g, [1.0], [count])),
+        ]
+        whole = isinstance(count, (int, np.integer))
+        for error, call in calls:
+            with nullcontext() if whole else pytest.raises(error, match="integers"):
+                result = call()
+        if whole:
+            assert result.resolutions == [2]
 
     def test_column_lookup_errors(self):
         table = make_table(TV_LOW_NOISE)
