@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks of scalar parameters."""
+
+import math
+from numbers import Integral, Real
 
 
 class TvTomoError(Exception):
@@ -66,3 +69,17 @@ class FormatError(TvTomoError, ValueError):
 
 class NoCornerWarning(UserWarning):
     """L-curve has no well-defined corner; falling back to max |curvature|."""
+
+
+def check_count(name, value, minimum, error):
+    """Raise ``error`` unless ``value`` is an integer >= minimum; a ``bool`` is not."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
+        raise error(f"{name} takes integers >= {minimum}, got {value!r}")
+
+
+def check_real(name, value, error, minimum=0.0, strict=True):
+    """Raise ``error`` unless ``value`` is a finite real > minimum, or >= when
+    not ``strict``; a ``bool`` or ``str`` is not."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not (
+            (minimum < value if strict else minimum <= value) and value < math.inf):
+        raise error(f"{name} takes finite reals {'>' if strict else '>='} {minimum}, got {value!r}")

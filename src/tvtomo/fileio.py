@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, check_count, check_real
 from .geometry import ScanGeometry, Sinogram
 from .grid import ImageGrid
 from .phantoms import Phantom
@@ -179,15 +179,12 @@ def read_sweep_csv(path):
         try:
             alpha, n, t, r, it, st = row
             key, cell = (float(alpha), int(n)), (float(t), float(r), int(it), st)
-            if not 0 < key[0] < np.inf:
-                raise ValueError(f"alpha {alpha!r} is not positive and finite")
-            if key[1] < 1:
-                raise ValueError(f"n {n!r} is below 1")
-            if cell[2] < 0:
-                raise ValueError(f"iterations {it!r} is negative")
+            check_real("alpha", key[0], ValueError)
+            check_count("n", key[1], 1, ValueError)
+            check_count("iterations", cell[2], 0, ValueError)
             for name, value in zip(("tv", "residual"), cell):
-                if not (np.isnan(value) or 0 <= value < np.inf):
-                    raise ValueError(f"{name} {value!r} is neither NaN nor finite and >= 0")
+                if not np.isnan(value):  # NaN marks a failed or absent cell
+                    check_real(name, value, ValueError, strict=False)
             if st not in CELL_STATUSES:
                 raise ValueError(f"status {st!r} is not one of {', '.join(CELL_STATUSES)}")
         except ValueError as exc:
@@ -195,6 +192,8 @@ def read_sweep_csv(path):
         if key in cells:
             raise FormatError(f"{path}:{lineno}: second row for alpha={alpha}, n={n}")
         cells[key] = cell
+    if not cells:
+        raise FormatError(f"{path}: sweep CSV has a header and no rows")
     return SweepTable.from_cells(cells)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InvalidGeometryError, ShapeMismatchError
+from .errors import InvalidGeometryError, ShapeMismatchError, check_count, check_real
 from .grid import ImageGrid
 
 __all__ = [
@@ -55,13 +55,9 @@ class ScanGeometry:
     def __post_init__(self):
         if self.mode not in ("parallel", "fan"):
             raise InvalidGeometryError(f"unknown scan mode {self.mode!r}")
-        counts = (self.num_angles, self.num_detector_pixels)
-        if not all(isinstance(c, (int, np.integer)) for c in counts):
-            raise InvalidGeometryError(f"angle and detector counts must be integers: {counts}")
-        if self.num_angles < 1 or self.num_detector_pixels < 1:
-            raise InvalidGeometryError("need at least one angle and one detector pixel")
-        if not 0 < self.detector_extent < np.inf:
-            raise InvalidGeometryError("detector extent must be positive and finite")
+        check_count("num_angles", self.num_angles, 1, InvalidGeometryError)
+        check_count("num_detector_pixels", self.num_detector_pixels, 1, InvalidGeometryError)
+        check_real("detector_extent", self.detector_extent, InvalidGeometryError)
         angles = self.angles
         if angles is None:
             angles = np.arange(self.num_angles) * np.pi / self.num_angles
@@ -75,10 +71,8 @@ class ScanGeometry:
         object.__setattr__(self, "angles", angles)
         self.angles.setflags(write=False)
         if self.mode == "fan":
-            if self.source_radius is None or self.detector_radius is None:
-                raise InvalidGeometryError("fan mode needs source and detector radii")
-            if not (0 < self.source_radius < np.inf and 0 < self.detector_radius < np.inf):
-                raise InvalidGeometryError("fan radii must be positive and finite")
+            check_real("source_radius", self.source_radius, InvalidGeometryError)
+            check_real("detector_radius", self.detector_radius, InvalidGeometryError)
 
     @property
     def num_rays(self):
@@ -263,8 +257,7 @@ def _trace_rays(origins, directions, n):
 
 def assemble_system_matrix(geom, n):
     """Build the M x N system matrix by tracing every ray of the geometry."""
-    if n < 1:
-        raise InvalidGeometryError(f"grid size must be positive, got n={n}")
+    check_count("n", n, 1, InvalidGeometryError)
     origins, directions = geom.ray_arrays()
     step = max(1, _CHUNK_ENTRIES // (2 * n + 4))
     counts, indices, lengths = zip(*(

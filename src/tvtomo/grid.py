@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InvalidDimensionError, ResolutionMismatchError, ShapeMismatchError
+from .errors import InvalidDimensionError, ResolutionMismatchError, ShapeMismatchError, check_count
 
 __all__ = [
     "ImageGrid",
@@ -35,8 +35,7 @@ class ImageGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InvalidDimensionError(f"grid size must be positive, got n={self.n}")
+        check_count("n", self.n, 1, InvalidDimensionError)
         v = np.asarray(self.values, dtype=float).ravel()
         if v.size != self.n * self.n:
             raise ShapeMismatchError(
@@ -81,8 +80,7 @@ def build_difference_operators(n):
     rows in column-major pixel order.  Entries are exactly +-1/n and every
     row sums to zero because of the periodic wrap.
     """
-    if n < 2:
-        raise InvalidDimensionError(f"difference operators need n >= 2, got n={n}")
+    check_count("n", n, 2, InvalidDimensionError)
     N = n * n
     scale = 1.0 / n
 
@@ -115,8 +113,7 @@ def tv_norm(f, ops=None):
 
 def project_average(f, target_n):
     """Coarsen by averaging over aligned square blocks of pixels."""
-    if target_n < 1:
-        raise InvalidDimensionError(f"target resolution must be positive, got {target_n}")
+    check_count("target_n", target_n, 1, InvalidDimensionError)
     if f.n % target_n != 0:
         raise ResolutionMismatchError(
             f"cannot average n={f.n} down to {target_n}: not an integer multiple"
@@ -129,6 +126,7 @@ def project_average(f, target_n):
 
 def upsample_constant(f, target_n):
     """Refine by piecewise-constant replication of each pixel."""
+    check_count("target_n", target_n, 1, InvalidDimensionError)
     if target_n % f.n != 0:
         raise ResolutionMismatchError(
             f"cannot replicate n={f.n} up to {target_n}: not an integer multiple"

@@ -34,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ParameterError, SolverFailureError
+from .errors import ParameterError, SolverFailureError, check_count, check_real
 from .grid import ImageGrid, build_difference_operators
 from .qp import QpProblem, build_qp
 
@@ -65,14 +65,10 @@ class SolverConfig:
     backend: InitVar[str] = "auto"
 
     def __post_init__(self, backend):
-        tolerances = (self.tol_primal, self.tol_dual, self.tol_gap)
-        if not all(0 < t < np.inf for t in tolerances):
-            raise ParameterError("tolerances must be positive and finite")
-        caps = (self.max_iterations, self.cg_max_iterations)
-        if not all(isinstance(c, (int, np.integer)) for c in caps):
-            raise ParameterError(f"iteration caps must be integers, got {caps}")
-        if self.max_iterations < 0 or self.cg_max_iterations < 1:
-            raise ParameterError("iteration caps must be >= 0 (outer) and >= 1 (CG)")
+        for name in ("tol_primal", "tol_dual", "tol_gap"):
+            check_real(name, getattr(self, name), ParameterError)
+        check_count("max_iterations", self.max_iterations, 0, ParameterError)
+        check_count("cg_max_iterations", self.cg_max_iterations, 1, ParameterError)
 
 
 @dataclass
@@ -189,10 +185,12 @@ class _TvNewton:
             + ops.d_h.T @ sp.diags(self.w_h) @ ops.d_h
             + ops.d_v.T @ sp.diags(self.w_v) @ ops.d_v
         ).tocsr()
-        # A^T A enters the preconditioner only through its diagonal
+        # A^T A enters only through its diagonal.  TV weights near 1e14 round the sum to a
+        # singular Laplacian; 10 eps max(diag), twice a 5-point row's rounding, keeps it regular
+        pre_diag = ata_diag + 10 * np.finfo(float).eps * (G.diagonal() + ata_diag).max()
         try:
             # symmetric 5-point pattern: minimum degree on A^T+A halves COLAMD's fill
-            self._pre_lu = spla.splu((G + sp.diags(ata_diag)).tocsc(),
+            self._pre_lu = spla.splu((G + sp.diags(pre_diag)).tocsc(),
                                      permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:
             raise SolverFailureError(f"preconditioner factorization failed: {exc}") from exc

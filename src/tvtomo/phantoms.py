@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_count, check_real
 from .geometry import Sinogram
 from .grid import ImageGrid
 
@@ -34,8 +34,8 @@ class Phantom:
 
     @classmethod
     def disc(cls, r=0.25, value=1.0, center=(0.5, 0.5)):
-        if not (0 < r < np.inf and 0 <= value < np.inf):
-            raise ParameterError("disc needs finite r > 0 and value >= 0")
+        check_real("r", r, ParameterError)
+        check_real("value", value, ParameterError, strict=False)
         cx, cy = center
         if not (r < cx < 1 - r and r < cy < 1 - r):
             raise ParameterError("disc must be contained in (0,1)^2")
@@ -84,8 +84,7 @@ class Phantom:
             raise ParameterError("polygon needs at least 3 (x, y) vertices")
         if not np.all((verts > 0) & (verts < 1)):
             raise ParameterError("polygon vertices must be finite and inside (0,1)^2")
-        if not 0 <= value < np.inf:
-            raise ParameterError("polygon value must be finite and nonnegative")
+        check_real("value", value, ParameterError, strict=False)
         return cls(
             kind="piecewise-polygon",
             params={"vertices": [(float(x), float(y)) for x, y in verts],
@@ -113,8 +112,7 @@ def _points_in_polygon(px, py, verts):
 
 def render_phantom(p, n):
     """Sample the phantom at pixel centers onto an n x n grid."""
-    if n < 1:
-        raise ParameterError(f"resolution must be positive, got {n}")
+    check_count("n", n, 1, ParameterError)
     centers = (np.arange(n) + 0.5) / n
     # matrix[r, c]: row r <-> y = centers[r], col c <-> x = centers[c]
     y = np.broadcast_to(centers[:, None], (n, n))
@@ -148,10 +146,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.relative_level < np.inf:
-            raise ParameterError("relative noise level must be nonnegative and finite")
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
-            raise ParameterError(f"noise seed must be a nonnegative integer, got {self.seed!r}")
+        check_real("relative_level", self.relative_level, ParameterError, strict=False)
+        check_count("seed", self.seed, 0, ParameterError)
 
 
 def add_noise(s, spec):

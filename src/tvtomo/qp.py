@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ParameterError, ShapeMismatchError
+from .errors import ParameterError, ShapeMismatchError, check_real
 
 __all__ = ["QpProblem", "build_qp", "split_variables"]
 
@@ -76,8 +76,7 @@ def split_variables(problem, f_values):
 
 def build_qp(A, g_tilde, ops, alpha):
     """Assemble the QpProblem for one (system matrix, data, alpha) triple."""
-    if not 0 < alpha < np.inf:
-        raise ParameterError(f"regularization parameter must be positive and finite, got {alpha}")
+    check_real("alpha", alpha, ParameterError)
     n = A.n
     N = n * n
     if ops.n != n:

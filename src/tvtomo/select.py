@@ -21,6 +21,8 @@ from .errors import (
     ParameterError,
     ResolutionMismatchError,
     SolverFailureError,
+    check_count,
+    check_real,
 )
 from .geometry import assemble_system_matrix
 from .grid import build_difference_operators, tv_norm
@@ -47,8 +49,7 @@ class SCurvePrior:
     s_hat: float
 
     def __post_init__(self):
-        if self.s_hat <= 0:
-            raise DegeneratePriorError(f"sparsity level must be positive, got {self.s_hat}")
+        check_real("s_hat", self.s_hat, DegeneratePriorError)
 
 
 def _solve_cell(g_tilde, config, alpha, system):
@@ -74,17 +75,16 @@ def run_sweep(geom, g_tilde, alphas, resolutions, config=None, jobs=1):
     config = config or SolverConfig()
     alphas = np.sort(np.asarray(alphas, dtype=float))
     resolutions = list(resolutions)
-    if not all(isinstance(r, (int, np.integer)) for r in resolutions):
-        raise ParameterError(f"resolutions must be integers, got {resolutions}")
-    resolutions = sorted(int(r) for r in resolutions)
+    for n in resolutions:  # n < 2 is refused later, by assembly and the operators
+        check_count("resolutions", n, -np.inf, ParameterError)
+    resolutions = sorted(map(int, resolutions))
     if np.unique(alphas).size != alphas.size:
         raise ParameterError(f"duplicate alphas in {alphas.tolist()}")
     if len(set(resolutions)) != len(resolutions):
         raise ParameterError(f"duplicate resolutions in {resolutions}")
     if alphas.size == 0 or not resolutions:
         raise ParameterError("a sweep needs at least one alpha and one resolution")
-    if jobs < 1:
-        raise ParameterError(f"jobs must be >= 1, got {jobs}")
+    check_count("jobs", jobs, 1, ParameterError)
 
     systems = {n: (assemble_system_matrix(geom, n), build_difference_operators(n))
                for n in resolutions}
@@ -109,8 +109,7 @@ def spread_profile(table):
 
 def stable_rows(table, tol):
     """Spread profile of the table and which rows have spread <= tol."""
-    if not 0 <= tol < np.inf:
-        raise ParameterError(f"stability tolerance must be nonnegative and finite, got {tol}")
+    check_real("tol", tol, ParameterError, strict=False)
     spreads = spread_profile(table)
     return spreads, spreads <= tol
 

@@ -262,6 +262,8 @@ class TestSweepTableInput:
 
     def test_malformed_table_is_usage_error(self, tmp_path):
         path = tmp_path / "sweep.csv"
-        path.write_text("alpha,n,tv,residual,iterations,status\n0.1,8,abc,1.0,3,converged\n")
-        assert run(tmp_path, "select", "--table", str(path), "--method", "multires") == 2
-        assert run(tmp_path, "report", "--table", str(path)) == 2
+        for rows in ("0.1,8,abc,1.0,3,converged\n", ""):  # a bad cell; a header and no rows
+            path.write_text("alpha,n,tv,residual,iterations,status\n" + rows)
+            for method in ("multires", "lcurve", "scurve"):
+                assert run(tmp_path, "select", "--table", str(path), "--method", method) == 2
+            assert run(tmp_path, "report", "--table", str(path)) == 2

@@ -108,12 +108,12 @@ class TestNoise:
         with pytest.raises(ParameterError):
             tv.NoiseSpec(relative_level=-0.1)
 
-    @pytest.mark.parametrize("level", [np.nan, np.inf])
+    @pytest.mark.parametrize("level", [np.nan, np.inf, "0.1", False])
     def test_non_finite_level_rejected(self, level):
         with pytest.raises(ParameterError):
             tv.NoiseSpec(relative_level=level)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True])
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(ParameterError):
             tv.NoiseSpec(relative_level=0.1, seed=seed)
@@ -357,6 +357,23 @@ def test_io_does_not_import_the_solver(module):
     imports = _tvtomo_imports(module)
     assert "errors" in imports  # the scan sees the relative imports
     assert imports.isdisjoint({"select", "pdip", "qp"})
+
+
+def test_only_errors_checks_for_integers():
+    """Counts go through `errors.check_count`: no other module calls isinstance
+    against int, np.integer or numbers.Integral."""
+    integer_types = {"int", "integer", "Integral"}
+    modules = sorted(Path(tv.__file__).parent.glob("*.py"))
+    assert len(modules) > 5
+    for path in modules:
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                types = node.args[1]
+                names = {getattr(t, "id", getattr(t, "attr", None))
+                         for t in (types.elts if isinstance(types, ast.Tuple) else [types])}
+                assert not names & integer_types, f"{path.name}:{node.lineno}"
 
 
 class TestPhantomAndConfigFiles:

@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,7 +199,8 @@ class TestReconstruct:
     @pytest.mark.parametrize("caps", [
         dict(max_iterations=2.5), dict(max_iterations=10.0),
         dict(cg_max_iterations=float("nan")), dict(cg_max_iterations="5"),
-    ], ids=["outer-2.5", "outer-10.0", "cg-nan", "cg-str"])
+        dict(max_iterations=True), dict(cg_max_iterations=np.True_),
+    ], ids=["outer-2.5", "outer-10.0", "cg-nan", "cg-str", "outer-bool", "cg-np.bool"])
     def test_non_integer_iteration_caps_rejected(self, caps):
         with pytest.raises(ParameterError, match="integers"):
             tv.SolverConfig(**caps)
@@ -270,6 +275,24 @@ class TestReconstruct:
         f_colamd, report_colamd = tv.reconstruct(A, g, 0.1)
         assert report.iterations == report_colamd.iterations
         assert tv.tv_norm(f) == pytest.approx(tv.tv_norm(f_colamd), rel=1e-9)
+
+    def test_preconditioner_factors_a_rounded_singular_laplacian(self):
+        """At alpha=1e5, n=64 the TV weights reach 3e14 and G + diag(A^T A)
+        rounds to a singular Laplacian: without a diagonal shift, splu finds
+        it "exactly singular" at iterate 19 with the BLAS on one thread."""
+        code = (
+            "import tvtomo as tv\n"
+            "geom = tv.ScanGeometry(num_angles=20, num_detector_pixels=48)\n"
+            "A = tv.assemble_system_matrix(geom, 64)\n"
+            "g = tv.forward_project(A, tv.render_phantom(tv.Phantom.disc(r=0.25), 64))\n"
+            "print(tv.reconstruct(A, g, 1e5)[1].reason)\n"
+        )
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": str(Path(tv.__file__).parents[1])}
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["converged"]
 
     def test_backend_argument_is_ignored(self, small_geom):
         assert "backend" not in [f.name for f in dataclasses.fields(tv.SolverConfig)]

@@ -97,7 +97,7 @@ class TestMultiResolution:
             tv.select_multiresolution(table)
         assert "spreads" in exc.value.diagnostics
 
-    @pytest.mark.parametrize("tol", [np.nan, np.inf, -0.1])
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -0.1, "0.1", False])
     def test_bad_stability_tol_rejected(self, tol):
         with pytest.raises(ParameterError):
             tv.select_multiresolution(make_table(TV_LOW_NOISE), stability_tol=tol)
@@ -323,8 +323,8 @@ class TestRunSweep:
         with pytest.raises(ParameterError):
             tv.run_sweep(small_geom, g, **grid)
 
-    @pytest.mark.parametrize("count", [2, np.int64(2), 2.5, 2.0, np.nan, "2"],
-                             ids=["int", "np.int64", "2.5", "2.0", "nan", "str"])
+    @pytest.mark.parametrize("count", [2, np.int64(2), 2.5, 2.0, np.nan, "2", True],
+                             ids=["int", "np.int64", "2.5", "2.0", "nan", "str", "bool"])
     def test_counts_must_be_integers(self, small_geom, count):
         g = tv.forward_project(tv.assemble_system_matrix(small_geom, 2),
                                tv.render_phantom(tv.Phantom.disc(r=0.3), 2))
@@ -333,7 +333,7 @@ class TestRunSweep:
             (tv.InvalidGeometryError, lambda: tv.ScanGeometry(num_detector_pixels=count)),
             (ParameterError, lambda: tv.run_sweep(small_geom, g, [1.0], [count])),
         ]
-        whole = isinstance(count, (int, np.integer))
+        whole = type(count) in (int, np.int64)  # True is an int, but not a count
         for error, call in calls:
             with nullcontext() if whole else pytest.raises(error, match="integers"):
                 result = call()
