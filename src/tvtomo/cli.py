@@ -31,12 +31,14 @@ from .grid import build_difference_operators, tv_norm
 from .pdip import SolverConfig, reconstruct
 from .phantoms import NoiseSpec, Phantom, add_noise, render_phantom
 from .select import (
+    BLAS_THREAD_ENV,
     estimate_s_hat,
     run_sweep,
     select_lcurve,
     select_multiresolution,
     select_scurve,
     stable_rows,
+    usable_cpus,
 )
 
 EXIT_OK = 0
@@ -171,7 +173,9 @@ def _build_parser():
                    help="comma-separated alphas (default decades 1e-4..1e6)")
     p.add_argument("--resolutions", type=_comma_list(int), required=True,
                    help="comma-separated n values")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (>= 1)")
+    p.add_argument("--jobs", type=int, default=None,
+                   help="worker processes (>= 1); default one per CPU the BLAS threads "
+                        "leave free, so OPENBLAS_NUM_THREADS=1 uses every CPU")
     p.add_argument("--name", default="sweep")
     _add_geometry_flags(p)
     _add_solver_flags(p)
@@ -289,6 +293,9 @@ def _cmd_sweep(args, out):
         "alphas": ",".join(repr(a) for a in table.alphas),
         "resolutions": ",".join(str(r) for r in table.resolutions),
         "output.table": path,
+        # the default worker count depends on these
+        "nproc": usable_cpus(),
+        **BLAS_THREAD_ENV,
     })
     print(f"sweep table written to {path}")
 

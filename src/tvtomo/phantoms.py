@@ -37,6 +37,8 @@ class Phantom:
         check_real("r", r, ParameterError)
         check_real("value", value, ParameterError, strict=False)
         cx, cy = center
+        for c in center:
+            check_real("center", c, ParameterError)
         if not (r < cx < 1 - r and r < cy < 1 - r):
             raise ParameterError("disc must be contained in (0,1)^2")
         return cls(
@@ -52,13 +54,13 @@ class Phantom:
         if len(shells) == 0:
             raise ParameterError("nested shells need at least one (radius, value) pair")
         radii = [r for r, _ in shells]
-        values = [v for _, v in shells]
-        if not np.all(np.isfinite([*radii, *values, *center])):
-            raise ParameterError("shell radii, values and center must be finite")
+        for r, v in shells:
+            check_real("shell radius", r, ParameterError)
+            check_real("shell value", v, ParameterError, strict=False)
+        for c in center:
+            check_real("center", c, ParameterError)
         if any(np.diff(radii) >= 0):
             raise ParameterError("shell radii must be strictly decreasing")
-        if min(values) < 0 or min(radii) <= 0:
-            raise ParameterError("shells need positive radii and nonnegative values")
         cx, cy = center
         r0 = radii[0]
         if not (r0 < cx < 1 - r0 and r0 < cy < 1 - r0):

@@ -5,6 +5,9 @@ into a `SweepTable` (from `tvtomo.table`) of TV norms and residuals; the
 three rules and the stability test `stable_rows` read such a table.
 """
 
+import multiprocessing
+import os
+import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
@@ -53,24 +56,95 @@ class SCurvePrior:
 
 
 def _solve_cell(g_tilde, config, alpha, system):
+    """One cell's (tv, residual, iterations, reason) and the warnings its
+    solve raised, as picklable (message, category, filename, lineno)."""
     A, ops = system
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            f, report = reconstruct(A, g_tilde, alpha, config=config, ops=ops)
+            tv = tv_norm(f, ops)
+            res = float(np.linalg.norm(A.matrix @ f.values - g_tilde.data))
+            cell = tv, res, report.iterations, report.reason
+        except SolverFailureError:
+            cell = np.nan, np.nan, 0, "solver_failure"
+    return cell, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+
+def _reissue(caught):
+    """Warn here what a cell's solve warned, under this process's filters.
+
+    A worker's warnings would otherwise stop at its stderr.  Each is warned
+    from the module that raised it, with that module's registry, as
+    `warnings.warn` there would, so a filter on the module name still holds.
+    """
+    for message, category, filename, lineno in caught:
+        module = next((m for m in list(sys.modules.values())
+                       if getattr(m, "__file__", None) == filename), None)
+        if module is None:
+            warnings.warn_explicit(message, category, filename, lineno)
+        else:
+            warnings.warn_explicit(message, category, filename, lineno, module.__name__,
+                                   module.__dict__.setdefault("__warningregistry__", {}))
+
+
+# OpenBLAS, the BLAS numpy ships, reads its thread count once, when numpy
+# loads it: OPENBLAS_NUM_THREADS first, then OMP_NUM_THREADS.  The values
+# are read here, after numpy's import, for the same reason; MKL_NUM_THREADS
+# is recorded in sweep manifests but does not set OpenBLAS's thread count.
+BLAS_THREAD_ENV = {var: os.environ.get(var, "unset")
+                   for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
+def usable_cpus():
+    """The CPUs this process may run on (all of them where that is unknown)."""
     try:
-        f, report = reconstruct(A, g_tilde, alpha, config=config, ops=ops)
-    except SolverFailureError:
-        return np.nan, np.nan, 0, "solver_failure"
-    tv = tv_norm(f, ops)
-    res = float(np.linalg.norm(A.matrix @ f.values - g_tilde.data))
-    return tv, res, report.iterations, report.reason
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
-def run_sweep(geom, g_tilde, alphas, resolutions, config=None, jobs=1):
+def _fork_context():
+    """The fork start method, or None where the platform has none.
+
+    Forked workers need no ``__main__`` guard in the calling script, which
+    spawned or forkserver workers (the default on macOS, and on Linux from
+    Python 3.14) do.
+    """
+    if "fork" in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("fork")
+    return None
+
+
+def _default_jobs():
+    """One sweep worker per CPU the BLAS leaves free: ``cpus // blas_threads``.
+
+    ``blas_threads`` is OpenBLAS's thread count, else every CPU: an unpinned
+    BLAS spins a thread per core, and a second worker beside it makes a
+    sweep slower, not faster.  Serial where workers cannot be forked.
+    """
+    if _fork_context() is None:
+        return 1
+    cpus = usable_cpus()
+    blas_threads = cpus
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = BLAS_THREAD_ENV[var]
+        if value.isdigit() and int(value) > 0:
+            blas_threads = int(value)
+            break
+    return max(1, cpus // blas_threads)
+
+
+def run_sweep(geom, g_tilde, alphas, resolutions, config=None, jobs=None):
     """Reconstruct over the full (alpha, resolution) grid.
 
     The sinogram is resolution-independent data: the same g_tilde feeds
     every column, while the system matrix is re-assembled per resolution.
     Solver failures are NaN cells with status ``"solver_failure"``, not
-    raised.  ``jobs > 1`` worker processes (at most one per cell) give the
-    same table as one.
+    raised.  ``jobs`` forked worker processes (at most one per cell) give
+    the same table, and the same warnings, as one; by default there is one
+    per CPU the BLAS threads leave free.  Cells start costliest first: the
+    finest grid, and within it the smallest alpha.
     """
     config = config or SolverConfig()
     alphas = np.sort(np.asarray(alphas, dtype=float))
@@ -84,19 +158,26 @@ def run_sweep(geom, g_tilde, alphas, resolutions, config=None, jobs=1):
         raise ParameterError(f"duplicate resolutions in {resolutions}")
     if alphas.size == 0 or not resolutions:
         raise ParameterError("a sweep needs at least one alpha and one resolution")
+    if jobs is None:
+        jobs = _default_jobs()
     check_count("jobs", jobs, 1, ParameterError)
 
     systems = {n: (assemble_system_matrix(geom, n), build_difference_operators(n))
                for n in resolutions}
-    keys = [(alpha, n) for n in resolutions for alpha in alphas]
+    keys = [(alpha, n) for n in reversed(resolutions) for alpha in alphas]
     solve = partial(_solve_cell, g_tilde, config)
     # the pool forks all its workers at the first submit: no more than cells
     workers = min(jobs, len(keys))
+    cells = []
     with ExitStack() as stack:
-        mapper = (stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
-                  if workers > 1 else map)
-        results = list(mapper(solve, [a for a, _ in keys], [systems[n] for _, n in keys]))
-    return SweepTable.from_cells(dict(zip(keys, results)))
+        mapper = map
+        if workers > 1:
+            pool = ProcessPoolExecutor(max_workers=workers, mp_context=_fork_context())
+            mapper = stack.enter_context(pool).map
+        for cell, caught in mapper(solve, [a for a, _ in keys], [systems[n] for _, n in keys]):
+            _reissue(caught)
+            cells.append(cell)
+    return SweepTable.from_cells(dict(zip(keys, cells)))
 
 
 def spread_profile(table):

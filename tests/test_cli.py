@@ -1,3 +1,4 @@
+import os
 import numpy as np
 import pytest
 
@@ -96,6 +97,10 @@ class TestPipeline:
         assert run(tmp_path, "sweep", "--sino", str(sino_path),
                    "--alphas", "0.01,1,100", "--resolutions", "8,16",
                    "--angles", "24", "--detectors", "24") == 0
+        manifest = tv.read_config(tmp_path / "manifest.txt")
+        assert manifest["nproc"] == str(tv.select.usable_cpus())
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            assert manifest[var] == os.environ.get(var, "unset")
         capsys.readouterr()
         assert run(tmp_path, "report", "--table", str(tmp_path / "sweep.csv"),
                    "--tol", "0.5") == 0

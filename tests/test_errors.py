@@ -43,6 +43,8 @@ G = tv.forward_project(A, tv.render_phantom(tv.Phantom.disc(r=0.25), 4))
     (InvalidDimensionError, lambda: tv.upsample_constant(tv.ImageGrid(2, np.zeros(4)), 4.0)),
     (InvalidDimensionError, lambda: tv.upsample_constant(tv.ImageGrid(2, np.zeros(4)), -2)),
     (ParameterError, lambda: tv.Phantom.disc(r="0.2")),
+    (ParameterError, lambda: tv.Phantom.disc(center=("0.5", 0.5))),
+    (ParameterError, lambda: tv.Phantom.nested_shells([(0.3, "1")])),
     (ParameterError, lambda: tv.Phantom.polygon([(0.2, 0.2), (0.8, 0.2), (0.5, 0.8)], "1")),
     (ParameterError, lambda: tv.render_phantom(tv.Phantom.empty(), 4.0)),
     (ParameterError, lambda: tv.build_qp(A, G, tv.build_difference_operators(4), "1")),
@@ -53,7 +55,8 @@ G = tv.forward_project(A, tv.render_phantom(tv.Phantom.disc(r=0.25), 4))
 ], ids=["tol-str", "tol-bool", "extent-str", "fan-radius-str",
         "assemble-n-float", "grid-n-float", "operators-n-float", "average-n-float",
         "upsample-n-float", "upsample-n-negative",
-        "disc-r-str", "polygon-value-str", "render-n-float", "qp-alpha-str",
+        "disc-r-str", "disc-center-str", "shells-value-str", "polygon-value-str",
+        "render-n-float", "qp-alpha-str",
         "sweep-jobs-float", "sweep-jobs-bool", "s_hat-nan", "s_hat-inf"])
 def test_bad_scalar_raises_its_class(error, call):
     with pytest.raises(error):

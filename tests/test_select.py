@@ -1,3 +1,4 @@
+import warnings
 from contextlib import nullcontext
 
 import numpy as np
@@ -275,21 +276,29 @@ class TestRunSweep:
         with pytest.warns(UserWarning, match=r"inner CG hit the iteration cap \(1\)"):
             serial.append(tv.run_sweep(small_geom, g, jobs=1, **failing))
         assert set(serial[1].status.ravel()) == {"converged", "solver_failure"}
-        for grid, table in zip((converging, failing), serial):
+        with pytest.warns(UserWarning, match=r"inner CG hit the iteration cap \(1\)"):
+            parallel = [tv.run_sweep(small_geom, g, jobs=2, **converging),
+                        tv.run_sweep(small_geom, g, jobs=2, **failing)]
+        for grid, table, par in zip((converging, failing), serial, parallel):
             path = tmp_path / "sweep.csv"
             tv.write_sweep_csv(path, table)
-            for other in (tv.run_sweep(small_geom, g, jobs=2, **grid), tv.read_sweep_csv(path)):
+            for other in (par, tv.read_sweep_csv(path)):
                 assert other.resolutions == table.resolutions
                 for name in ("alphas", "tv", "residual", "iterations", "status"):
                     # NaN cells compare equal to NaN cells only
                     np.testing.assert_array_equal(getattr(other, name), getattr(table, name))
 
-    def test_workers_capped_at_cell_count(self, small_geom, monkeypatch):
-        asked = []
+    @pytest.fixture
+    def pool_calls(self, monkeypatch):
+        """Replace the process pool by an in-process one; record each pool's
+        worker count, start method and the (alpha, n) cells its ``map``
+        sees, in order."""
+        calls = []
 
         class RecordingPool:
-            def __init__(self, max_workers):
-                asked.append(max_workers)
+            def __init__(self, max_workers, mp_context):
+                self.workers, self.mp_context, self.cells = max_workers, mp_context, []
+                calls.append(self)
 
             def __enter__(self):
                 return self
@@ -297,15 +306,95 @@ class TestRunSweep:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
+            def map(self, fn, alphas, systems):
+                self.cells += [(a, A.n) for a, (A, _) in zip(alphas, systems)]
+                return map(fn, alphas, systems)
 
         monkeypatch.setattr(tv.select, "ProcessPoolExecutor", RecordingPool)
+        return calls
+
+    def test_workers_capped_at_cell_count(self, small_geom, pool_calls):
         g = tv.forward_project(tv.assemble_system_matrix(small_geom, 2),
                                tv.render_phantom(tv.Phantom.disc(r=0.3), 2))
         table = tv.run_sweep(small_geom, g, alphas=[0.1, 1.0], resolutions=[2], jobs=10**6)
-        assert asked == [2]
+        assert [pool.workers for pool in pool_calls] == [2]
         assert table.tv.shape == (2, 1)
+
+    @pytest.mark.parametrize("cpus, env, jobs, workers", [
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, None, [2]),
+        (2, {}, None, []),
+        (4, {"OMP_NUM_THREADS": "2"}, None, [2]),
+        (4, {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, None, [2]),
+        (4, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, None, [4]),
+        (2, {"MKL_NUM_THREADS": "1"}, None, []),
+        (8, {"OPENBLAS_NUM_THREADS": "1"}, None, [4]),
+        (2, {}, 3, [3]),
+        (8, {"OPENBLAS_NUM_THREADS": "1"}, 1, []),
+        (8, {"OPENBLAS_NUM_THREADS": "1"}, 10, [4]),
+        (None, {"OMP_NUM_THREADS": "2"}, None, [2]),
+    ], ids=["2cpu-pinned", "2cpu-unset", "4cpu-omp2", "openblas-0-falls-to-omp",
+            "openblas-before-omp", "mkl-only-is-unpinned", "capped-at-cells",
+            "explicit-3", "explicit-1", "explicit-capped", "no-affinity-call"])
+    def test_default_workers_one_per_cpu_the_blas_leaves_free(
+            self, small_geom, monkeypatch, pool_calls, cpus, env, jobs, workers):
+        unset = dict.fromkeys(tv.select.BLAS_THREAD_ENV, "unset")
+        monkeypatch.setattr(tv.select, "BLAS_THREAD_ENV", {**unset, **env})
+        if cpus is None:  # a platform without sched_getaffinity: os.cpu_count() counts
+            monkeypatch.delattr(tv.select.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(tv.select.os, "cpu_count", lambda: 4)
+        else:
+            monkeypatch.setattr(tv.select.os, "sched_getaffinity",
+                                lambda pid: set(range(cpus)), raising=False)
+        g = tv.forward_project(tv.assemble_system_matrix(small_geom, 2),
+                               tv.render_phantom(tv.Phantom.disc(r=0.3), 2))
+        tv.run_sweep(small_geom, g, alphas=[0.1, 1.0], resolutions=[2, 3], jobs=jobs)
+        assert [pool.workers for pool in pool_calls] == workers
+        # workers are forked, so a script without a __main__ guard can sweep
+        assert all(pool.mp_context.get_start_method() == "fork" for pool in pool_calls)
+
+    def test_serial_by_default_where_fork_is_missing(self, small_geom, monkeypatch, pool_calls):
+        monkeypatch.setattr(tv.select, "BLAS_THREAD_ENV", {"OPENBLAS_NUM_THREADS": "1",
+                                                           "OMP_NUM_THREADS": "unset"})
+        monkeypatch.setattr(tv.select.multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        g = tv.forward_project(tv.assemble_system_matrix(small_geom, 2),
+                               tv.render_phantom(tv.Phantom.disc(r=0.3), 2))
+        grid = dict(alphas=[0.1, 1.0], resolutions=[2, 3])
+        tv.run_sweep(small_geom, g, **grid)
+        assert pool_calls == []
+        # an explicit jobs still gets a pool, with the platform's start method
+        tv.run_sweep(small_geom, g, jobs=2, **grid)
+        assert [(pool.workers, pool.mp_context) for pool in pool_calls] == [(2, None)]
+
+    def test_worker_warnings_reach_the_caller(self, small_geom):
+        g = tv.forward_project(tv.assemble_system_matrix(small_geom, 4),
+                               tv.render_phantom(tv.Phantom.disc(r=0.3), 4))
+        failing = dict(alphas=[0.01, 1.0], resolutions=[2, 4],
+                       config=tv.SolverConfig(cg_max_iterations=1))
+        seen = []
+        for jobs in (1, 2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                tv.run_sweep(small_geom, g, jobs=jobs, **failing)
+            seen.append([(str(w.message), w.category, w.filename, w.lineno) for w in caught])
+        assert seen[0] and seen[1] == seen[0]
+        # re-issued under the raising module's name, so a module filter holds
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", "inner CG", UserWarning, "tvtomo.pdip")
+            with pytest.raises(UserWarning, match="inner CG hit the iteration cap"):
+                tv.run_sweep(small_geom, g, jobs=2, **failing)
+
+    def test_costliest_cells_submitted_first(self, small_geom, pool_calls):
+        g = tv.forward_project(tv.assemble_system_matrix(small_geom, 8),
+                               tv.render_phantom(tv.Phantom.disc(r=0.3), 8))
+        grid = dict(alphas=[1.0, 0.01, 0.1], resolutions=[4, 8])
+        parallel = tv.run_sweep(small_geom, g, jobs=2, **grid)
+        [pool] = pool_calls
+        assert pool.cells == [(a, n) for n in (8, 4) for a in (0.01, 0.1, 1.0)]
+        serial = tv.run_sweep(small_geom, g, jobs=1, **grid)
+        assert parallel.resolutions == serial.resolutions
+        for name in ("alphas", "tv", "residual", "iterations", "status"):
+            np.testing.assert_array_equal(getattr(parallel, name), getattr(serial, name))
 
     @pytest.mark.parametrize("grid", [
         dict(alphas=[0.1], resolutions=[4, 4]),
