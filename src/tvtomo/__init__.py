@@ -60,7 +60,6 @@ from .grid import (
 from .pdip import (
     ConvergenceReport,
     GenericQp,
-    PdipState,
     SolverConfig,
     pdip_solve,
     reconstruct,

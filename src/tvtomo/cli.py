@@ -27,7 +27,7 @@ from .errors import (
     TvTomoError,
 )
 from .geometry import ScanGeometry, assemble_system_matrix, forward_project
-from .grid import build_difference_operators, tv_norm
+from .grid import tv_norm
 from .pdip import SolverConfig, reconstruct
 from .phantoms import NoiseSpec, Phantom, add_noise, render_phantom
 from .select import (
@@ -314,7 +314,6 @@ def _cmd_select(args, out):
         A = assemble_system_matrix(geom, n)
         prior = estimate_s_hat(priors, A, sino)
         alpha, diagnostics = select_scurve(table, prior, n)
-        diagnostics["s_hat"] = prior.s_hat
     else:
         alpha, diagnostics = select_lcurve(table, n)
     fileio.write_diagnostics_csv(

@@ -8,7 +8,6 @@ table comes from `SweepTable.from_cells` in the leaf module `tvtomo.table`.
 """
 
 import csv
-import io
 import warnings
 
 import numpy as np
@@ -119,21 +118,28 @@ def write_sinogram(path, s):
     _write_raw(path, _SINO_MAGIC, [geom.num_angles, geom.num_detector_pixels], s.data)
 
 
-def read_sinogram(path, geometry=None):
-    """Read a raw sinogram.
+def _attach_geometry(path, dims, data, geometry):
+    """A Sinogram of the angle-major readings of ``dims`` read from ``path``.
 
     When no geometry is supplied, a parallel-beam geometry with uniform
-    angles on [0, pi) and a diagonal-spanning detector is attached (the
-    raw header only fixes the array dimensions).
+    angles on [0, pi) and a diagonal-spanning detector is attached (the file
+    only fixes the array dimensions).  A supplied geometry of other
+    dimensions is a FormatError.
     """
-    (num_angles, num_det), data = _read_raw(path, _SINO_MAGIC, 2)
+    num_angles, num_det = dims
     if geometry is None:
         geometry = ScanGeometry(num_angles=num_angles, num_detector_pixels=num_det)
     elif (geometry.num_angles, geometry.num_detector_pixels) != (num_angles, num_det):
         raise FormatError(
-            f"{path}: header dims ({num_angles}, {num_det}) do not match supplied geometry"
+            f"{path}: dims ({num_angles}, {num_det}) do not match supplied geometry"
         )
-    return Sinogram(geometry=geometry, data=data.copy())
+    return Sinogram(geometry=geometry, data=data)
+
+
+def read_sinogram(path, geometry=None):
+    """Read a raw sinogram; see `_attach_geometry` for its geometry."""
+    dims, data = _read_raw(path, _SINO_MAGIC, 2)
+    return _attach_geometry(path, dims, data.copy(), geometry)
 
 
 def write_sinogram_csv(path, s):
@@ -144,7 +150,8 @@ def write_sinogram_csv(path, s):
 
 
 def read_sinogram_csv(path, geometry=None):
-    """Generic CSV import: rows = angles, columns = detector pixels."""
+    """Generic CSV import: rows = angles, columns = detector pixels; see
+    `_attach_geometry` for its geometry."""
     try:
         with warnings.catch_warnings():
             # an empty file is reported below, as a FormatError
@@ -154,10 +161,12 @@ def read_sinogram_csv(path, geometry=None):
         raise FormatError(f"{path}: cannot parse CSV sinogram: {exc}") from exc
     if mat.size == 0:
         raise FormatError(f"{path}: CSV sinogram contains no data")
-    num_angles, num_det = mat.shape
-    if geometry is None:
-        geometry = ScanGeometry(num_angles=num_angles, num_detector_pixels=num_det)
-    return Sinogram(geometry=geometry, data=mat.ravel())
+    bad = np.argwhere(~np.isfinite(mat))
+    if bad.size:
+        row, col = bad[0]
+        raise FormatError(f"{path}: non-finite value {float(mat[row, col])!r} "
+                          f"in data row {row + 1}, column {col + 1}")
+    return _attach_geometry(path, mat.shape, mat.ravel(), geometry)
 
 
 def write_sweep_csv(path, table):

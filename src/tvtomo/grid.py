@@ -100,14 +100,9 @@ def build_difference_operators(n):
     return DifferenceOperators(n=n, d_h=d_h, d_v=d_v)
 
 
-def tv_norm(f, ops=None):
+def tv_norm(f):
     """Anisotropic discrete TV norm |D_h f|_1 + |D_v f|_1."""
-    if ops is None:
-        ops = build_difference_operators(f.n)
-    if ops.n != f.n:
-        raise ShapeMismatchError(
-            f"operators built for n={ops.n}, image has n={f.n}"
-        )
+    ops = build_difference_operators(f.n)
     return float(np.abs(ops.d_h @ f.values).sum() + np.abs(ops.d_v @ f.values).sum())
 
 

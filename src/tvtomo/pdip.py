@@ -40,7 +40,6 @@ from .qp import QpProblem, build_qp
 
 __all__ = [
     "SolverConfig",
-    "PdipState",
     "ConvergenceReport",
     "GenericQp",
     "solve_newton_system",
@@ -69,15 +68,6 @@ class SolverConfig:
             check_real(name, getattr(self, name), ParameterError)
         check_count("max_iterations", self.max_iterations, 0, ParameterError)
         check_count("cg_max_iterations", self.cg_max_iterations, 1, ParameterError)
-
-
-@dataclass
-class PdipState:
-    """One strictly interior iterate of the solver."""
-
-    z: np.ndarray
-    y: np.ndarray
-    x_tilde: np.ndarray
 
 
 @dataclass
@@ -138,7 +128,7 @@ class _GenericNewton:
     def __init__(self, problem, z, x_tilde):
         self.diag = x_tilde / z
         nz, ny = problem.z_dim, problem.y_dim
-        Q = np.asarray(problem.Q, dtype=float) if not sp.issparse(problem.Q) else problem.Q.toarray()
+        Q = np.asarray(problem.Q, dtype=float)
         B = np.asarray(problem.B, dtype=float)
         K = np.zeros((nz + ny, nz + ny))
         K[:nz, :nz] = -(Q + np.diag(self.diag))
@@ -258,8 +248,9 @@ def _check_newton_residual(problem, newton, dz, dy, p1, p2, p3, limit):
         raise SolverFailureError(f"Newton solve residual {rel:.3e} above tolerance", residual=rel)
 
 
-def solve_newton_system(problem, state, rhs, config=None):
-    """Solve the reduced KKT system for one rhs triple (p1, p2, p3).
+def solve_newton_system(problem, z, x_tilde, rhs, config=None):
+    """Solve the reduced KKT system at the iterate (z, x~) for one rhs
+    triple (p1, p2, p3).
 
     Returns (dz, dy, dx~) with dx~ recovered by back-substitution.  Raises
     SolverFailureError (carrying the achieved residual) when the linear
@@ -267,7 +258,7 @@ def solve_newton_system(problem, state, rhs, config=None):
     """
     config = config or SolverConfig()
     p1, p2, p3 = (np.asarray(v, dtype=float) for v in rhs)
-    newton = _newton_builder(problem, config)(state.z, state.x_tilde)
+    newton = _newton_builder(problem, config)(z, x_tilde)
     dz, dy, dx = newton.solve(p1, p2, p3)
     _check_newton_residual(problem, newton, dz, dy, p1, p2, p3, _CG_RTOL * 100)
     return dz, dy, dx
@@ -284,7 +275,7 @@ def pdip_solve(problem, config=None):
     nz, ny = problem.z_dim, problem.y_dim
 
     if isinstance(problem, QpProblem):
-        start = max(1.0, float(np.max(np.abs(problem.g))) if problem.g.size else 1.0)
+        start = max(1.0, float(np.max(np.abs(problem.g))))
     else:
         start = max(1.0, float(np.max(np.abs(problem.c))))
     z = np.full(nz, start)
@@ -357,7 +348,7 @@ def pdip_solve(problem, config=None):
 
     if isinstance(problem, QpProblem):
         f = z[: problem.N].copy()
-        worst = float(f.min()) if f.size else 0.0
+        worst = float(f.min())
         if worst < _NEGATIVE_CLAMP:
             raise SolverFailureError(
                 f"reconstruction has negative pixel {worst:.3e}", report=final
@@ -367,9 +358,7 @@ def pdip_solve(problem, config=None):
     return z, final
 
 
-def reconstruct(A, g_tilde, alpha, config=None, ops=None):
+def reconstruct(A, g_tilde, alpha, config=None):
     """Convenience composition build_qp -> pdip_solve on one system matrix."""
-    if ops is None:
-        ops = build_difference_operators(A.n)
-    problem = build_qp(A, g_tilde, ops, alpha)
+    problem = build_qp(A, g_tilde, build_difference_operators(A.n), alpha)
     return pdip_solve(problem, config)

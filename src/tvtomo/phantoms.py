@@ -34,17 +34,12 @@ class Phantom:
 
     @classmethod
     def disc(cls, r=0.25, value=1.0, center=(0.5, 0.5)):
-        check_real("r", r, ParameterError)
-        check_real("value", value, ParameterError, strict=False)
-        cx, cy = center
-        for c in center:
-            check_real("center", c, ParameterError)
-        if not (r < cx < 1 - r and r < cy < 1 - r):
-            raise ParameterError("disc must be contained in (0,1)^2")
+        """A nested-shells phantom with one shell, kept as kind "disc"."""
+        shell = cls.nested_shells([(r, value)], center)
         return cls(
             kind="disc",
-            params={"r": float(r), "value": float(value), "center": (float(cx), float(cy))},
-            analytic_tv=8.0 * r * value,
+            params={"r": float(r), "value": float(value), "center": shell.params["center"]},
+            analytic_tv=shell.analytic_tv,
         )
 
     @classmethod
@@ -122,16 +117,13 @@ def render_phantom(p, n):
 
     if p.kind == "empty":
         return ImageGrid.from_matrix(np.zeros((n, n)))
-    if p.kind == "disc":
-        cx, cy = p.params["center"]
-        r, value = p.params["r"], p.params["value"]
-        mat = np.where((x - cx) ** 2 + (y - cy) ** 2 < r * r, value, 0.0)
-        return ImageGrid.from_matrix(mat)
-    if p.kind == "nested-shells":
+    if p.kind in ("disc", "nested-shells"):
+        shells = (p.params["shells"] if p.kind == "nested-shells"
+                  else [(p.params["r"], p.params["value"])])
         cx, cy = p.params["center"]
         dist2 = (x - cx) ** 2 + (y - cy) ** 2
         mat = np.zeros((n, n))
-        for r, v in p.params["shells"]:  # radii decreasing: innermost wins
+        for r, v in shells:  # radii decreasing: innermost wins
             mat = np.where(dist2 < r * r, v, mat)
         return ImageGrid.from_matrix(mat)
     # piecewise-polygon

@@ -28,7 +28,7 @@ from .errors import (
     check_real,
 )
 from .geometry import assemble_system_matrix
-from .grid import build_difference_operators, tv_norm
+from .grid import tv_norm
 from .pdip import SolverConfig, reconstruct
 from .table import SweepTable
 
@@ -55,15 +55,14 @@ class SCurvePrior:
         check_real("s_hat", self.s_hat, DegeneratePriorError)
 
 
-def _solve_cell(g_tilde, config, alpha, system):
+def _solve_cell(g_tilde, config, alpha, A):
     """One cell's (tv, residual, iterations, reason) and the warnings its
     solve raised, as picklable (message, category, filename, lineno)."""
-    A, ops = system
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            f, report = reconstruct(A, g_tilde, alpha, config=config, ops=ops)
-            tv = tv_norm(f, ops)
+            f, report = reconstruct(A, g_tilde, alpha, config=config)
+            tv = tv_norm(f)
             res = float(np.linalg.norm(A.matrix @ f.values - g_tilde.data))
             cell = tv, res, report.iterations, report.reason
         except SolverFailureError:
@@ -147,6 +146,9 @@ def run_sweep(geom, g_tilde, alphas, resolutions, config=None, jobs=None):
     finest grid, and within it the smallest alpha.
     """
     config = config or SolverConfig()
+    alphas = list(alphas)
+    for alpha in alphas:
+        check_real("alphas", alpha, ParameterError)
     alphas = np.sort(np.asarray(alphas, dtype=float))
     resolutions = list(resolutions)
     for n in resolutions:  # n < 2 is refused later, by assembly and the operators
@@ -162,8 +164,7 @@ def run_sweep(geom, g_tilde, alphas, resolutions, config=None, jobs=None):
         jobs = _default_jobs()
     check_count("jobs", jobs, 1, ParameterError)
 
-    systems = {n: (assemble_system_matrix(geom, n), build_difference_operators(n))
-               for n in resolutions}
+    matrices = {n: assemble_system_matrix(geom, n) for n in resolutions}
     keys = [(alpha, n) for n in reversed(resolutions) for alpha in alphas]
     solve = partial(_solve_cell, g_tilde, config)
     # the pool forks all its workers at the first submit: no more than cells
@@ -174,7 +175,7 @@ def run_sweep(geom, g_tilde, alphas, resolutions, config=None, jobs=None):
         if workers > 1:
             pool = ProcessPoolExecutor(max_workers=workers, mp_context=_fork_context())
             mapper = stack.enter_context(pool).map
-        for cell, caught in mapper(solve, [a for a, _ in keys], [systems[n] for _, n in keys]):
+        for cell, caught in mapper(solve, [a for a, _ in keys], [matrices[n] for _, n in keys]):
             _reissue(caught)
             cells.append(cell)
     return SweepTable.from_cells(dict(zip(keys, cells)))
@@ -230,7 +231,6 @@ def estimate_s_hat(prior_images, A, g_tilde):
     if not prior_images:
         raise DegeneratePriorError("need at least one prior image")
     n = A.n
-    ops = build_difference_operators(n)
     g_norm = float(np.linalg.norm(g_tilde.data))
     per_image = []
     for f_p in prior_images:
@@ -241,7 +241,7 @@ def estimate_s_hat(prior_images, A, g_tilde):
         proj_norm = float(np.linalg.norm(A.matrix @ f_p.values))
         if proj_norm == 0.0:
             raise DegeneratePriorError("prior image has zero forward projection")
-        per_image.append((g_norm / proj_norm) * tv_norm(f_p, ops))
+        per_image.append((g_norm / proj_norm) * tv_norm(f_p))
     return SCurvePrior(s_hat=float(np.mean(per_image)))
 
 

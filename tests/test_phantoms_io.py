@@ -72,6 +72,18 @@ class TestPhantoms:
         with pytest.raises(ParameterError, match="at least one"):
             tv.Phantom.nested_shells([])
 
+    @pytest.mark.parametrize("r, value, center", [(0.25, 1.0, (0.5, 0.5)),
+                                                  (0.125, 3.0, (0.3, 0.6))])
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_disc_is_one_shell(self, r, value, center, n):
+        disc = tv.Phantom.disc(r, value, center)
+        shell = tv.Phantom.nested_shells([(r, value)], center)
+        assert disc.kind == "disc"
+        assert disc.params == {"r": r, "value": value, "center": center}
+        assert disc.analytic_tv == shell.analytic_tv
+        np.testing.assert_array_equal(tv.render_phantom(disc, n).values,
+                                      tv.render_phantom(shell, n).values)
+
 
 class TestNoise:
     def make_sino(self):
@@ -233,6 +245,22 @@ class TestSinogramIo:
         path.write_text("1.0,2.0\nnot,numbers\n")
         with pytest.raises(FormatError):
             tv.read_sinogram_csv(path)
+
+    @pytest.mark.parametrize("text", ["1,nan\n", "1,2\ninf,4\n"])
+    def test_csv_non_finite_names_file(self, tmp_path, text):
+        path = tmp_path / "s.csv"
+        path.write_text(text)
+        with pytest.raises(FormatError, match="s.csv: non-finite"):
+            tv.read_sinogram_csv(path)
+
+    def test_csv_geometry_dim_mismatch(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("1,2\n3,4\n")
+        wrong = tv.ScanGeometry(num_angles=3, num_detector_pixels=2)
+        with pytest.raises(FormatError, match=r"s.csv: dims \(2, 2\)"):
+            tv.read_sinogram_csv(path, geometry=wrong)
+        right = tv.ScanGeometry(num_angles=2, num_detector_pixels=2)
+        assert tv.read_sinogram_csv(path, geometry=right).geometry is right
 
     @pytest.mark.parametrize("raw", [
         b"TVTOMO-SINO 0 0\n", b"TVTOMO-SINO -1 -1\n" + bytes(8), b"TVTOMO-SINO 2 0\n",

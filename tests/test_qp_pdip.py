@@ -10,7 +10,7 @@ import scipy.sparse.linalg as spla
 
 import tvtomo as tv
 from tvtomo.errors import ParameterError, SolverFailureError
-from tvtomo.pdip import PdipState, _step_to_boundary
+from tvtomo.pdip import _step_to_boundary
 from tvtomo.qp import split_variables
 
 from conftest import make_tv_instance, projected_subgradient
@@ -61,7 +61,7 @@ class TestBuildQp:
                 tv.build_qp(A, g, ops, alpha)
 
 
-def assemble_full_kkt(problem, state):
+def assemble_full_kkt(problem, z, x_tilde):
     """Dense oracle: the full 3-block Newton matrix."""
     nz, ny = problem.z_dim, problem.y_dim
     N = problem.N
@@ -69,8 +69,8 @@ def assemble_full_kkt(problem, state):
     Q = np.zeros((nz, nz))
     Q[:N, :N] = A.T @ A
     B = problem.B.toarray()
-    Z = np.diag(state.z)
-    X = np.diag(state.x_tilde)
+    Z = np.diag(z)
+    X = np.diag(x_tilde)
     K = np.zeros((2 * nz + ny, 2 * nz + ny))
     K[:nz, :nz] = -Q
     K[:nz, nz : nz + ny] = B.T
@@ -86,9 +86,9 @@ class TestNewtonSystem:
         # Q = 0, B empty, barrier diag = 1: the reduced system is
         # -dz = p1 - p3 and dx = p3 - dz
         problem = tv.GenericQp(Q=np.zeros((5, 5)), c=rng.normal(size=5))
-        state = PdipState(z=np.ones(5), y=np.zeros(0), x_tilde=np.ones(5))
         p1, p3 = rng.normal(size=5), rng.normal(size=5)
-        dz, dy, dx = tv.solve_newton_system(problem, state, (p1, np.zeros(0), p3))
+        dz, dy, dx = tv.solve_newton_system(problem, np.ones(5), np.ones(5),
+                                            (p1, np.zeros(0), p3))
         assert np.allclose(dz, -(p1 - p3), atol=1e-12)
         assert np.allclose(dx, p3 - dz, atol=1e-12)
         assert dy.size == 0
@@ -96,13 +96,10 @@ class TestNewtonSystem:
     def test_full_system_residual_against_dense_oracle(self, rng):
         _, _, _, _, problem = make_tv_instance(n=2, num_angles=4, alpha=0.5, seed=3)
         nz, ny = problem.z_dim, problem.y_dim
-        state = PdipState(
-            z=rng.uniform(0.5, 2.0, nz), y=rng.normal(size=ny),
-            x_tilde=rng.uniform(0.5, 2.0, nz),
-        )
+        z, x_tilde = rng.uniform(0.5, 2.0, nz), rng.uniform(0.5, 2.0, nz)
         p1, p2, p3 = rng.normal(size=nz), rng.normal(size=ny), rng.normal(size=nz)
-        dz, dy, dx = tv.solve_newton_system(problem, state, (p1, p2, p3))
-        K = assemble_full_kkt(problem, state)
+        dz, dy, dx = tv.solve_newton_system(problem, z, x_tilde, (p1, p2, p3))
+        K = assemble_full_kkt(problem, z, x_tilde)
         sol = np.concatenate([dz, dy, dx])
         rhs = np.concatenate([p1, p2, p3])
         residual = np.linalg.norm(K @ sol - rhs) / np.linalg.norm(rhs)
@@ -120,13 +117,12 @@ class TestNewtonSystem:
         # analytic: z*=(0.5,0.5), y*=-0.5, x*=0 -> take a strictly interior
         # state on the central path-ish and check the Newton direction
         # solves the full linearized system exactly (dense verification)
-        state = PdipState(z=np.array([0.5, 0.5]), y=np.array([-0.5]),
-                          x_tilde=np.array([1e-8, 1e-8]))
-        p1 = c + Q @ state.z - B.T @ state.y - state.x_tilde
-        p2 = b - B @ state.z
-        p3 = -state.z
-        dz, dy, dx = tv.solve_newton_system(problem, state, (p1, p2, p3))
-        z_next = state.z + dz
+        z, y, x_tilde = np.array([0.5, 0.5]), np.array([-0.5]), np.array([1e-8, 1e-8])
+        p1 = c + Q @ z - B.T @ y - x_tilde
+        p2 = b - B @ z
+        p3 = -z
+        dz, dy, dx = tv.solve_newton_system(problem, z, x_tilde, (p1, p2, p3))
+        z_next = z + dz
         assert np.allclose(z_next, [0.5, 0.5], atol=1e-7)
 
 

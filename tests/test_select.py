@@ -306,9 +306,9 @@ class TestRunSweep:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, alphas, systems):
-                self.cells += [(a, A.n) for a, (A, _) in zip(alphas, systems)]
-                return map(fn, alphas, systems)
+            def map(self, fn, alphas, matrices):
+                self.cells += [(a, A.n) for a, A in zip(alphas, matrices)]
+                return map(fn, alphas, matrices)
 
         monkeypatch.setattr(tv.select, "ProcessPoolExecutor", RecordingPool)
         return calls
@@ -402,7 +402,14 @@ class TestRunSweep:
         dict(alphas=[0.1], resolutions=[4], jobs=0),
         dict(alphas=[0.1], resolutions=[4], jobs=-3),
         dict(alphas=[], resolutions=[4]),
-    ], ids=["duplicate-resolutions", "duplicate-alphas", "jobs-0", "jobs-negative", "no-alphas"])
+        dict(alphas=[0.0, 0.1], resolutions=[4]),
+        dict(alphas=[-1, 1e-3, 1e-2, 0.1, 1], resolutions=[4, 8]),
+        dict(alphas=[0.1, np.nan], resolutions=[4]),
+        dict(alphas=[0.1, np.inf], resolutions=[4]),
+        dict(alphas=["0.1"], resolutions=[4]),
+        dict(alphas=[True, 0.1], resolutions=[4]),
+    ], ids=["duplicate-resolutions", "duplicate-alphas", "jobs-0", "jobs-negative", "no-alphas",
+            "alpha-0", "alpha-negative", "alpha-nan", "alpha-inf", "alpha-str", "alpha-bool"])
     def test_bad_grid_rejected_before_solving(self, small_geom, monkeypatch, grid):
         def no_assembly(*args):
             raise AssertionError("assembled a system matrix for a rejected sweep")
