@@ -26,7 +26,7 @@ from .errors import (
     SolverFailureError,
     TvTomoError,
 )
-from .geometry import ScanGeometry, assemble_system_matrix, forward_project
+from .geometry import ScanGeometry, assemble_system_matrix, forward_project, usable_cpus
 from .grid import tv_norm
 from .pdip import SolverConfig, reconstruct
 from .phantoms import NoiseSpec, Phantom, add_noise, render_phantom
@@ -38,7 +38,6 @@ from .select import (
     select_multiresolution,
     select_scurve,
     stable_rows,
-    usable_cpus,
 )
 
 EXIT_OK = 0
@@ -208,11 +207,11 @@ def _cmd_phantom(args, out):
             raise FormatError("--vertices required for kind=polygon")
         phantom = Phantom.polygon(fileio.parse_pairs(args.vertices), value=args.value)
     img = render_phantom(phantom, args.n)
+    tv = tv_norm(img)  # refuses n = 1 before anything is written
     img_path = os.path.join(out, f"{args.name}.img")
     fileio.write_image(img_path, img)
     fileio.write_pgm(os.path.join(out, f"{args.name}.pgm"), img)
     fileio.write_phantom_file(os.path.join(out, f"{args.name}.phantom"), phantom)
-    tv = tv_norm(img)
     _write_manifest(out, args, {
         "phantom.kind": phantom.kind, "phantom.n": args.n,
         "output.image": img_path, "output.tv_norm": repr(tv),

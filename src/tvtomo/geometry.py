@@ -10,11 +10,17 @@ rays at once with array operations: each ray's row holds its clipped span
 and the crossings of every grid line, the crossings outside the span are
 set to inf, and a sort and a difference per row give the segments.  Rays
 go in batches of at most `_CHUNK_ENTRIES` crossing slots, so memory stays
-bounded for any geometry, and in angle-major order with segments in
-increasing t, so the matrix is the same, bit for bit, as stacking
-`trace_ray` rows.
+bounded for any geometry.  Batches run on one thread per usable CPU (at
+most one per batch), independent of the BLAS thread variables: assembly
+calls no BLAS, and numpy's array kernels and scipy's sparse routines
+release the GIL.  Each thread sorts and merges its own batch's rows, and
+the batches are stacked in angle-major order with segments in increasing
+t, so the matrix is the same, bit for bit, as stacking `trace_ray` rows.
 """
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +44,14 @@ _CENTER = np.array([0.5, 0.5])
 # (ray, crossing) slots per batch, 2 MB per float temporary: on a 2-core Xeon
 # this ran no slower than 16 MB batches and kept small geometries' peak low
 _CHUNK_ENTRIES = 1 << 18
+
+
+def usable_cpus():
+    """The CPUs this process may run on (all of them where that is unknown)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -255,20 +269,31 @@ def _trace_rays(origins, directions, n):
     return counts, rows + n * cols, b - a
 
 
+def _trace_block(origins, directions, n):
+    """One batch of rays as CSR rows, each row sorted and its duplicates
+    merged as COO -> CSR does."""
+    counts, indices, lengths = _trace_rays(origins, directions, n)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    block = sp.csr_matrix((lengths, indices, indptr), shape=(len(directions), n * n))
+    block.sum_duplicates()
+    return block
+
+
 def assemble_system_matrix(geom, n):
     """Build the M x N system matrix by tracing every ray of the geometry."""
     check_count("n", n, 1, InvalidGeometryError)
     origins, directions = geom.ray_arrays()
     step = max(1, _CHUNK_ENTRIES // (2 * n + 4))
-    counts, indices, lengths = zip(*(
-        _trace_rays(origins[lo:lo + step], directions[lo:lo + step], n)
-        for lo in range(0, geom.num_rays, step)
-    ))
-    # segments come ray by ray, so these are the rows of the CSR matrix in
-    # order; sum_duplicates sorts and merges each row as COO -> CSR does
-    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
-    mat = sp.csr_matrix((np.concatenate(lengths), np.concatenate(indices), indptr),
-                        shape=(geom.num_rays, n * n))
+    lows = range(0, geom.num_rays, step)
+    workers = min(usable_cpus(), len(lows))
+    with ExitStack() as stack:
+        mapper = map
+        if workers > 1:
+            mapper = stack.enter_context(ThreadPoolExecutor(max_workers=workers)).map
+        blocks = list(mapper(_trace_block, [origins[lo:lo + step] for lo in lows],
+                             [directions[lo:lo + step] for lo in lows], [n] * len(lows)))
+    mat = sp.vstack(blocks, format="csr")
+    # linear on canonical rows; sets the canonical-format flags
     mat.sum_duplicates()
     return SparseSystemMatrix(geometry=geom, n=n, matrix=mat)
 

@@ -27,7 +27,7 @@ from .errors import (
     check_count,
     check_real,
 )
-from .geometry import assemble_system_matrix
+from .geometry import assemble_system_matrix, usable_cpus
 from .grid import tv_norm
 from .pdip import SolverConfig, reconstruct
 from .table import SweepTable
@@ -93,14 +93,6 @@ def _reissue(caught):
 # is recorded in sweep manifests but does not set OpenBLAS's thread count.
 BLAS_THREAD_ENV = {var: os.environ.get(var, "unset")
                    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-
-
-def usable_cpus():
-    """The CPUs this process may run on (all of them where that is unknown)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
 
 
 def _fork_context():

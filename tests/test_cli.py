@@ -32,6 +32,10 @@ class TestPhantomCommand:
     def test_missing_required_flag_is_usage_error(self, tmp_path):
         assert run(tmp_path, "phantom") == 2
 
+    def test_one_pixel_grid_is_refused_before_any_output(self, tmp_path):
+        assert run(tmp_path, "phantom", "--kind", "disc", "--n", "1") == 2
+        assert list(tmp_path.glob("phantom.*")) == []
+
     def test_unknown_subcommand(self, tmp_path):
         assert run(tmp_path, "frobnicate") == 2
 

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -204,6 +206,75 @@ class TestBatchedAssembly:
         monkeypatch.setattr(geometry, "_CHUNK_ENTRIES", entries)
         for geom, n in [*EDGE_GEOMETRIES, *random_geometries(12, 4)]:
             self.assert_matches_oracle(geom, n)
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Record the worker count of every thread pool assembly creates;
+        the recorded pool maps in the calling thread."""
+        created = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(geometry, "ThreadPoolExecutor", RecordingPool)
+        return created
+
+    @staticmethod
+    def fake_cpus(monkeypatch, cpus):
+        monkeypatch.setattr(geometry.os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_threads_do_not_change_matrix(self, monkeypatch, cpus):
+        self.fake_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(geometry, "_CHUNK_ENTRIES", 97)
+        for geom, n in [*EDGE_GEOMETRIES, *random_geometries(13, 4)]:
+            self.assert_matches_oracle(geom, n)
+
+    @pytest.mark.parametrize("cpus, entries, workers", [
+        (1, 97, []), (4, 1 << 18, []), (4, 97, [4]), (4, 20 * 24, [2]),
+    ], ids=["one-cpu", "one-batch", "four-cpus", "capped-at-batches"])
+    def test_one_thread_per_cpu_and_batch(self, monkeypatch, pools, cpus, entries, workers):
+        self.fake_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(geometry, "_CHUNK_ENTRIES", entries)
+        geom, n = tv.ScanGeometry(num_angles=4, num_detector_pixels=10), 10
+        assert tv.assemble_system_matrix(geom, n).shape == (40, 100)
+        assert pools == workers
+
+    def test_matrix_is_canonical(self, monkeypatch):
+        self.fake_cpus(monkeypatch, 4)
+        monkeypatch.setattr(geometry, "_CHUNK_ENTRIES", 97)
+        A = tv.assemble_system_matrix(tv.ScanGeometry(num_angles=6, num_detector_pixels=9), 7)
+        assert A.matrix.has_canonical_format and A.matrix.has_sorted_indices
+
+    def test_threads_end_with_the_call_and_batch_errors_reach_caller(self, monkeypatch):
+        self.fake_cpus(monkeypatch, 4)
+        monkeypatch.setattr(geometry, "_CHUNK_ENTRIES", 97)
+        geom, n = tv.ScanGeometry(num_angles=8, num_detector_pixels=12), 6
+        bad_origin = geom.ray_arrays()[0][50]
+        trace = geometry._trace_rays
+
+        def failing(origins, directions, n):
+            if any(np.array_equal(o, bad_origin) for o in origins):
+                raise InvalidGeometryError("batch failed")
+            return trace(origins, directions, n)
+
+        before = set(threading.enumerate())
+        tv.assemble_system_matrix(geom, n)
+        assert set(threading.enumerate()) == before
+        monkeypatch.setattr(geometry, "_trace_rays", failing)
+        with pytest.raises(InvalidGeometryError, match="batch failed"):
+            tv.assemble_system_matrix(geom, n)
+        assert set(threading.enumerate()) == before
 
     @pytest.mark.parametrize("geom, n", EDGE_GEOMETRIES)
     def test_ray_arrays_match_per_angle_formula(self, geom, n):
