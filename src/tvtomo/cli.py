@@ -172,9 +172,6 @@ def _build_parser():
                    help="comma-separated alphas (default decades 1e-4..1e6)")
     p.add_argument("--resolutions", type=_comma_list(int), required=True,
                    help="comma-separated n values")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (>= 1); default one per CPU the BLAS threads "
-                        "leave free, so OPENBLAS_NUM_THREADS=1 uses every CPU")
     p.add_argument("--name", default="sweep")
     _add_geometry_flags(p)
     _add_solver_flags(p)
@@ -284,7 +281,7 @@ def _cmd_sweep(args, out):
     kv = _config_keys(args)
     cfg, geom = _from_args("solver", args, kv), _from_args("geometry", args, kv)
     sino = fileio.read_sinogram(args.sino, geometry=geom)
-    table = run_sweep(geom, sino, args.alphas, args.resolutions, config=cfg, jobs=args.jobs)
+    table = run_sweep(geom, sino, args.alphas, args.resolutions, config=cfg)
     path = os.path.join(out, f"{args.name}.csv")
     fileio.write_sweep_csv(path, table)
     _write_manifest(out, args, {
@@ -292,7 +289,7 @@ def _cmd_sweep(args, out):
         "alphas": ",".join(repr(a) for a in table.alphas),
         "resolutions": ",".join(str(r) for r in table.resolutions),
         "output.table": path,
-        # the default worker count depends on these
+        # the worker count depends on these
         "nproc": usable_cpus(),
         **BLAS_THREAD_ENV,
     })
@@ -301,7 +298,7 @@ def _cmd_sweep(args, out):
 
 def _cmd_select(args, out):
     table = fileio.read_sweep_csv(args.table)
-    n = args.n or max(table.resolutions)
+    n = max(table.resolutions) if args.n is None else args.n
     if args.method == "multires":
         alpha, diagnostics = select_multiresolution(table, stability_tol=args.tol)
     elif args.method == "scurve":

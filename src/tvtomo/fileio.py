@@ -94,14 +94,11 @@ def read_image(path):
     return ImageGrid.from_matrix(values.reshape(n, n))
 
 
-def write_pgm(path, img, vmin=0.0, vmax=None):
-    """Plain-text PGM (P2) with caller-supplied value scaling."""
+def write_pgm(path, img):
+    """Plain-text PGM (P2), 0 black and the largest pixel (or 1) white."""
     mat = img.to_matrix()
-    if vmax is None:
-        vmax = float(mat.max()) if mat.max() > vmin else vmin + 1.0
-    if vmax <= vmin:
-        raise FormatError(f"PGM scaling needs vmax > vmin, got [{vmin}, {vmax}]")
-    scaled = np.clip((mat - vmin) / (vmax - vmin) * 255.0, 0, 255).astype(int)
+    vmax = float(mat.max()) if mat.max() > 0.0 else 1.0
+    scaled = np.clip(mat / vmax * 255.0, 0, 255).astype(int)
     # visual top row = largest y
     scaled = scaled[::-1, :]
     lines = [f"P2", f"{img.n} {img.n}", "255"]
@@ -219,20 +216,18 @@ def write_curve_csv(path, columns):
 
 
 def write_diagnostics_csv(path, diagnostics):
-    """Selection diagnostics: array-valued entries as columns, scalars as comments."""
+    """Selection diagnostics: scalars as comments, then the equal-length
+    array-valued entries as columns."""
     arrays = {k: v for k, v in diagnostics.items() if isinstance(v, np.ndarray)}
     scalars = {k: v for k, v in diagnostics.items() if not isinstance(v, np.ndarray)}
     with open(path, "w", newline="") as fh:
         for k, v in scalars.items():
             fh.write(f"# {k}={v}\n")
-    if arrays:
-        lengths = {v.size for v in arrays.values()}
-        if len(lengths) == 1:
-            with open(path, "a", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(list(arrays))
-                for row in zip(*[a.ravel() for a in arrays.values()]):
-                    w.writerow([repr(float(v)) if np.isreal(v) else v for v in row])
+        if arrays:
+            w = csv.writer(fh)
+            w.writerow(list(arrays))
+            for row in zip(*[a.ravel() for a in arrays.values()]):
+                w.writerow([repr(float(v)) if np.isreal(v) else v for v in row])
 
 
 def write_phantom_file(path, phantom):

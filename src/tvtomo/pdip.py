@@ -36,7 +36,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ParameterError, SolverFailureError, check_count, check_real
-from .grid import ImageGrid, build_difference_operators
+from .grid import ImageGrid
 from .qp import QpProblem, build_qp
 
 __all__ = [
@@ -362,5 +362,4 @@ def pdip_solve(problem, config=None):
 
 def reconstruct(A, g_tilde, alpha, config=None):
     """Convenience composition build_qp -> pdip_solve on one system matrix."""
-    problem = build_qp(A, g_tilde, build_difference_operators(A.n), alpha)
-    return pdip_solve(problem, config)
+    return pdip_solve(build_qp(A, g_tilde, alpha), config)

@@ -18,6 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ParameterError, ShapeMismatchError, check_real
+from .grid import build_difference_operators
 
 __all__ = ["QpProblem", "build_qp", "split_variables"]
 
@@ -74,14 +75,13 @@ def split_variables(problem, f_values):
     )
 
 
-def build_qp(A, g_tilde, ops, alpha):
-    """Assemble the QpProblem for one (system matrix, data, alpha) triple."""
+def build_qp(A, g_tilde, alpha):
+    """Assemble the QpProblem for one (system matrix, sinogram, alpha) triple."""
     check_real("alpha", alpha, ParameterError)
     n = A.n
     N = n * n
-    if ops.n != n:
-        raise ShapeMismatchError(f"difference operators for n={ops.n}, matrix for n={n}")
-    g = np.asarray(g_tilde.data if hasattr(g_tilde, "data") else g_tilde, dtype=float)
+    ops = build_difference_operators(n)
+    g = np.asarray(g_tilde.data, dtype=float)
     if g.size != A.matrix.shape[0]:
         raise ShapeMismatchError(f"data length {g.size} != M={A.matrix.shape[0]}")
 

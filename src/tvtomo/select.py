@@ -95,26 +95,17 @@ BLAS_THREAD_ENV = {var: os.environ.get(var, "unset")
                    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
-def _fork_context():
-    """The fork start method, or None where the platform has none.
-
-    Forked workers need no ``__main__`` guard in the calling script, which
-    spawned or forkserver workers (the default on macOS, and on Linux from
-    Python 3.14) do.
-    """
-    if "fork" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("fork")
-    return None
-
-
 def _default_jobs():
     """One sweep worker per CPU the BLAS leaves free: ``cpus // blas_threads``.
 
     ``blas_threads`` is OpenBLAS's thread count, else every CPU: an unpinned
     BLAS spins a thread per core, and a second worker beside it makes a
-    sweep slower, not faster.  Serial where workers cannot be forked.
+    sweep slower, not faster.  Serial where workers cannot be forked:
+    forked workers need no ``__main__`` guard in the calling script, which
+    spawned or forkserver workers (the default on macOS, and on Linux from
+    Python 3.14) do.
     """
-    if _fork_context() is None:
+    if "fork" not in multiprocessing.get_all_start_methods():
         return 1
     cpus = usable_cpus()
     blas_threads = cpus
@@ -126,16 +117,17 @@ def _default_jobs():
     return max(1, cpus // blas_threads)
 
 
-def run_sweep(geom, g_tilde, alphas, resolutions, config=None, jobs=None):
+def run_sweep(geom, g_tilde, alphas, resolutions, config=None):
     """Reconstruct over the full (alpha, resolution) grid.
 
     The sinogram is resolution-independent data: the same g_tilde feeds
     every column, while the system matrix is re-assembled per resolution.
     Solver failures are NaN cells with status ``"solver_failure"``, not
-    raised.  ``jobs`` forked worker processes (at most one per cell) give
-    the same table, and the same warnings, as one; by default there is one
-    per CPU the BLAS threads leave free.  Cells start costliest first: the
-    finest grid, and within it the smallest alpha.
+    raised.  The cells are solved in forked worker processes, one per CPU
+    the BLAS threads leave free and at most one per cell, or in this process
+    when that is one; either way gives the same table and the same warnings.
+    Cells start costliest first: the finest grid, and within it the smallest
+    alpha.
     """
     config = config or SolverConfig()
     alphas = list(alphas)
@@ -143,8 +135,8 @@ def run_sweep(geom, g_tilde, alphas, resolutions, config=None, jobs=None):
         check_real("alphas", alpha, ParameterError)
     alphas = np.sort(np.asarray(alphas, dtype=float))
     resolutions = list(resolutions)
-    for n in resolutions:  # n < 2 is refused later, by assembly and the operators
-        check_count("resolutions", n, -np.inf, ParameterError)
+    for n in resolutions:
+        check_count("resolutions", n, 2, ParameterError)
     resolutions = sorted(map(int, resolutions))
     if np.unique(alphas).size != alphas.size:
         raise ParameterError(f"duplicate alphas in {alphas.tolist()}")
@@ -152,20 +144,18 @@ def run_sweep(geom, g_tilde, alphas, resolutions, config=None, jobs=None):
         raise ParameterError(f"duplicate resolutions in {resolutions}")
     if alphas.size == 0 or not resolutions:
         raise ParameterError("a sweep needs at least one alpha and one resolution")
-    if jobs is None:
-        jobs = _default_jobs()
-    check_count("jobs", jobs, 1, ParameterError)
 
     matrices = {n: assemble_system_matrix(geom, n) for n in resolutions}
     keys = [(alpha, n) for n in reversed(resolutions) for alpha in alphas]
     solve = partial(_solve_cell, g_tilde, config)
     # the pool forks all its workers at the first submit: no more than cells
-    workers = min(jobs, len(keys))
+    workers = min(_default_jobs(), len(keys))
     cells = []
     with ExitStack() as stack:
         mapper = map
         if workers > 1:
-            pool = ProcessPoolExecutor(max_workers=workers, mp_context=_fork_context())
+            pool = ProcessPoolExecutor(max_workers=workers,
+                                       mp_context=multiprocessing.get_context("fork"))
             mapper = stack.enter_context(pool).map
         for cell, caught in mapper(solve, [a for a, _ in keys], [matrices[n] for _, n in keys]):
             _reissue(caught)

@@ -23,9 +23,8 @@ def make_tv_instance(n, num_angles, alpha, seed, noise=0.0):
     g = tv.forward_project(A, img)
     if noise > 0:
         g = tv.add_noise(g, tv.NoiseSpec(relative_level=noise, seed=seed))
-    ops = tv.build_difference_operators(n)
-    problem = tv.build_qp(A, g, ops, alpha)
-    return img, A, g, ops, problem
+    problem = tv.build_qp(A, g, alpha)
+    return img, A, g, problem.ops, problem
 
 
 def projected_subgradient(problem, iterations=20000, seed=0):

@@ -208,7 +208,8 @@ class TestConfigMerging:
             ["sweep", "--sino", sino, "--resolutions", "8", "--alphas", "1,abc", *geometry],
             ["sweep", "--sino", sino, "--resolutions", "8,8", *geometry],
             ["sweep", "--sino", sino, "--resolutions", "8", "--alphas", "1,1", *geometry],
-            ["sweep", "--sino", sino, "--resolutions", "8", "--jobs", "0", *geometry],
+            ["sweep", "--sino", sino, "--resolutions", "1,8", *geometry],
+            ["sweep", "--sino", sino, "--resolutions", "8", "--jobs", "2", *geometry],
             ["reconstruct", "--sino", sino, "--n", "8", "--alpha", "nan", *geometry],
             ["reconstruct", "--sino", sino, "--n", "8", "--alpha", "0.1",
              "--solver-backend", "cg", *geometry],
@@ -276,3 +277,12 @@ class TestSweepTableInput:
             for method in ("multires", "lcurve", "scurve"):
                 assert run(tmp_path, "select", "--table", str(path), "--method", method) == 2
             assert run(tmp_path, "report", "--table", str(path)) == 2
+
+    @pytest.mark.parametrize("n", ["0", "48"])
+    def test_resolution_not_in_table_is_usage_error(self, tmp_path, capsys, n):
+        table = tv.SweepTable(alphas=[0.1, 1.0], resolutions=[8, 16], tv=np.ones((2, 2)),
+                              residual=np.ones((2, 2)))
+        path = tmp_path / "sweep.csv"
+        tv.write_sweep_csv(path, table)
+        assert run(tmp_path, "select", "--table", str(path), "--method", "lcurve", "--n", n) == 2
+        assert f"resolution {n} not in table" in capsys.readouterr().err

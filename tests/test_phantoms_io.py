@@ -188,7 +188,7 @@ class TestImageIo:
     def test_pgm_scaling(self, tmp_path):
         img = tv.ImageGrid.from_matrix(np.array([[0.0, 0.5], [1.0, 0.25]]))
         path = tmp_path / "a.pgm"
-        tv.write_pgm(path, img, vmin=0.0, vmax=1.0)
+        tv.write_pgm(path, img)
         body = [int(v) for line in path.read_text().splitlines()[3:] for v in line.split()]
         # vertical flip: display row 0 is matrix row 1
         assert body == [255, 63, 0, 127]

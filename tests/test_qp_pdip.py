@@ -19,8 +19,7 @@ from conftest import make_tv_instance, projected_subgradient
 class TestBuildQp:
     def test_zero_data_zero_objective(self, small_geom):
         A = tv.assemble_system_matrix(small_geom, 4)
-        ops = tv.build_difference_operators(4)
-        problem = tv.build_qp(A, tv.Sinogram(small_geom, np.zeros(small_geom.num_rays)), ops, 1.0)
+        problem = tv.build_qp(A, tv.Sinogram(small_geom, np.zeros(small_geom.num_rays)), 1.0)
         z = np.zeros(problem.z_dim)
         assert problem.objective(z) == 0.0
 
@@ -54,11 +53,10 @@ class TestBuildQp:
 
     def test_nonpositive_alpha_rejected(self, small_geom):
         A = tv.assemble_system_matrix(small_geom, 4)
-        ops = tv.build_difference_operators(4)
         g = tv.Sinogram(small_geom, np.zeros(small_geom.num_rays))
         for alpha in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(ParameterError):
-                tv.build_qp(A, g, ops, alpha)
+                tv.build_qp(A, g, alpha)
 
 
 def assemble_full_kkt(problem, z, x_tilde):
@@ -308,7 +306,7 @@ class TestReconstruct:
         assert np.allclose(f.values, f.values.mean(), atol=1e-5)
         # a constant fits the data exactly: compare objective against the
         # true constant image
-        problem = tv.build_qp(A, g, tv.build_difference_operators(6), 100.0)
+        problem = tv.build_qp(A, g, 100.0)
         assert problem.objective_of_image(f.values) <= problem.objective_of_image(
             np.full(36, c)) + 1e-6
 

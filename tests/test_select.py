@@ -243,6 +243,24 @@ class TestLCurve:
 
 
 class TestRunSweep:
+    @pytest.fixture
+    def cpu_set(self, monkeypatch):
+        """``cpu_set(count, env)``: this process may use ``count`` CPUs (None:
+        the platform has no ``sched_getaffinity`` and ``os.cpu_count()`` is 4)
+        and numpy loaded the BLAS thread variables ``env``, by default
+        OpenBLAS pinned to one thread."""
+        def set_cpus(count, env=None):
+            env = {"OPENBLAS_NUM_THREADS": "1"} if env is None else env
+            unset = dict.fromkeys(tv.select.BLAS_THREAD_ENV, "unset")
+            monkeypatch.setattr(tv.select, "BLAS_THREAD_ENV", {**unset, **env})
+            if count is None:
+                monkeypatch.delattr(tv.select.os, "sched_getaffinity", raising=False)
+                monkeypatch.setattr(tv.select.os, "cpu_count", lambda: 4)
+            else:
+                monkeypatch.setattr(tv.select.os, "sched_getaffinity",
+                                    lambda pid: set(range(count)), raising=False)
+        return set_cpus
+
     def test_single_cell_matches_direct_reconstruct(self, small_geom):
         phantom = tv.render_phantom(tv.Phantom.disc(r=0.3), 8)
         A = tv.assemble_system_matrix(small_geom, 8)
@@ -265,20 +283,22 @@ class TestRunSweep:
         # larger alpha never increases TV within a column
         assert np.all(table.tv[1] <= table.tv[0] + 1e-8)
 
-    def test_parallel_sweep_matches_serial(self, small_geom, tmp_path):
+    def test_parallel_sweep_matches_serial(self, small_geom, tmp_path, cpu_set):
         phantom = tv.render_phantom(tv.Phantom.disc(r=0.3), 16)
         g = tv.forward_project(tv.assemble_system_matrix(small_geom, 16), phantom)
         converging = dict(alphas=[0.01, 0.1, 1.0], resolutions=[8, 16])
         # CG capped at one iteration: the n=2 cells converge, the n=4 cells fail
         failing = dict(alphas=[0.01, 1.0], resolutions=[2, 4],
                        config=tv.SolverConfig(cg_max_iterations=1))
-        serial = [tv.run_sweep(small_geom, g, jobs=1, **converging)]
+        cpu_set(1)
+        serial = [tv.run_sweep(small_geom, g, **converging)]
         with pytest.warns(UserWarning, match=r"inner CG hit the iteration cap \(1\)"):
-            serial.append(tv.run_sweep(small_geom, g, jobs=1, **failing))
+            serial.append(tv.run_sweep(small_geom, g, **failing))
         assert set(serial[1].status.ravel()) == {"converged", "solver_failure"}
+        cpu_set(2)
         with pytest.warns(UserWarning, match=r"inner CG hit the iteration cap \(1\)"):
-            parallel = [tv.run_sweep(small_geom, g, jobs=2, **converging),
-                        tv.run_sweep(small_geom, g, jobs=2, **failing)]
+            parallel = [tv.run_sweep(small_geom, g, **converging),
+                        tv.run_sweep(small_geom, g, **failing)]
         for grid, table, par in zip((converging, failing), serial, parallel):
             path = tmp_path / "sweep.csv"
             tv.write_sweep_csv(path, table)
@@ -313,85 +333,77 @@ class TestRunSweep:
         monkeypatch.setattr(tv.select, "ProcessPoolExecutor", RecordingPool)
         return calls
 
-    def test_workers_capped_at_cell_count(self, small_geom, pool_calls):
+    def test_workers_capped_at_cell_count(self, small_geom, pool_calls, cpu_set):
+        cpu_set(64)
         g = tv.forward_project(tv.assemble_system_matrix(small_geom, 2),
                                tv.render_phantom(tv.Phantom.disc(r=0.3), 2))
-        table = tv.run_sweep(small_geom, g, alphas=[0.1, 1.0], resolutions=[2], jobs=10**6)
+        table = tv.run_sweep(small_geom, g, alphas=[0.1, 1.0], resolutions=[2])
         assert [pool.workers for pool in pool_calls] == [2]
         assert table.tv.shape == (2, 1)
 
-    @pytest.mark.parametrize("cpus, env, jobs, workers", [
-        (2, {"OPENBLAS_NUM_THREADS": "1"}, None, [2]),
-        (2, {}, None, []),
-        (4, {"OMP_NUM_THREADS": "2"}, None, [2]),
-        (4, {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, None, [2]),
-        (4, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, None, [4]),
-        (2, {"MKL_NUM_THREADS": "1"}, None, []),
-        (8, {"OPENBLAS_NUM_THREADS": "1"}, None, [4]),
-        (2, {}, 3, [3]),
-        (8, {"OPENBLAS_NUM_THREADS": "1"}, 1, []),
-        (8, {"OPENBLAS_NUM_THREADS": "1"}, 10, [4]),
-        (None, {"OMP_NUM_THREADS": "2"}, None, [2]),
+    @pytest.mark.parametrize("cpus, env, workers", [
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, [2]),
+        (2, {}, []),
+        (4, {"OMP_NUM_THREADS": "2"}, [2]),
+        (4, {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, [2]),
+        (4, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, [4]),
+        (2, {"MKL_NUM_THREADS": "1"}, []),
+        (8, {"OPENBLAS_NUM_THREADS": "1"}, [4]),
+        (3, {"OPENBLAS_NUM_THREADS": "1"}, [3]),
+        (1, {"OPENBLAS_NUM_THREADS": "1"}, []),
+        (None, {"OMP_NUM_THREADS": "2"}, [2]),
     ], ids=["2cpu-pinned", "2cpu-unset", "4cpu-omp2", "openblas-0-falls-to-omp",
             "openblas-before-omp", "mkl-only-is-unpinned", "capped-at-cells",
-            "explicit-3", "explicit-1", "explicit-capped", "no-affinity-call"])
+            "3cpu-pinned", "1cpu-pinned", "no-affinity-call"])
     def test_default_workers_one_per_cpu_the_blas_leaves_free(
-            self, small_geom, monkeypatch, pool_calls, cpus, env, jobs, workers):
-        unset = dict.fromkeys(tv.select.BLAS_THREAD_ENV, "unset")
-        monkeypatch.setattr(tv.select, "BLAS_THREAD_ENV", {**unset, **env})
-        if cpus is None:  # a platform without sched_getaffinity: os.cpu_count() counts
-            monkeypatch.delattr(tv.select.os, "sched_getaffinity", raising=False)
-            monkeypatch.setattr(tv.select.os, "cpu_count", lambda: 4)
-        else:
-            monkeypatch.setattr(tv.select.os, "sched_getaffinity",
-                                lambda pid: set(range(cpus)), raising=False)
+            self, small_geom, pool_calls, cpu_set, cpus, env, workers):
+        cpu_set(cpus, env)
         g = tv.forward_project(tv.assemble_system_matrix(small_geom, 2),
                                tv.render_phantom(tv.Phantom.disc(r=0.3), 2))
-        tv.run_sweep(small_geom, g, alphas=[0.1, 1.0], resolutions=[2, 3], jobs=jobs)
+        tv.run_sweep(small_geom, g, alphas=[0.1, 1.0], resolutions=[2, 3])
         assert [pool.workers for pool in pool_calls] == workers
         # workers are forked, so a script without a __main__ guard can sweep
         assert all(pool.mp_context.get_start_method() == "fork" for pool in pool_calls)
 
-    def test_serial_by_default_where_fork_is_missing(self, small_geom, monkeypatch, pool_calls):
-        monkeypatch.setattr(tv.select, "BLAS_THREAD_ENV", {"OPENBLAS_NUM_THREADS": "1",
-                                                           "OMP_NUM_THREADS": "unset"})
+    def test_serial_by_default_where_fork_is_missing(
+            self, small_geom, monkeypatch, pool_calls, cpu_set):
+        cpu_set(2)
         monkeypatch.setattr(tv.select.multiprocessing, "get_all_start_methods",
                             lambda: ["spawn"])
         g = tv.forward_project(tv.assemble_system_matrix(small_geom, 2),
                                tv.render_phantom(tv.Phantom.disc(r=0.3), 2))
-        grid = dict(alphas=[0.1, 1.0], resolutions=[2, 3])
-        tv.run_sweep(small_geom, g, **grid)
+        tv.run_sweep(small_geom, g, alphas=[0.1, 1.0], resolutions=[2, 3])
         assert pool_calls == []
-        # an explicit jobs still gets a pool, with the platform's start method
-        tv.run_sweep(small_geom, g, jobs=2, **grid)
-        assert [(pool.workers, pool.mp_context) for pool in pool_calls] == [(2, None)]
 
-    def test_worker_warnings_reach_the_caller(self, small_geom):
+    def test_worker_warnings_reach_the_caller(self, small_geom, cpu_set):
         g = tv.forward_project(tv.assemble_system_matrix(small_geom, 4),
                                tv.render_phantom(tv.Phantom.disc(r=0.3), 4))
         failing = dict(alphas=[0.01, 1.0], resolutions=[2, 4],
                        config=tv.SolverConfig(cg_max_iterations=1))
         seen = []
-        for jobs in (1, 2):
+        for cpus in (1, 2):
+            cpu_set(cpus)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                tv.run_sweep(small_geom, g, jobs=jobs, **failing)
+                tv.run_sweep(small_geom, g, **failing)
             seen.append([(str(w.message), w.category, w.filename, w.lineno) for w in caught])
         assert seen[0] and seen[1] == seen[0]
         # re-issued under the raising module's name, so a module filter holds
         with warnings.catch_warnings():
             warnings.filterwarnings("error", "inner CG", UserWarning, "tvtomo.pdip")
             with pytest.raises(UserWarning, match="inner CG hit the iteration cap"):
-                tv.run_sweep(small_geom, g, jobs=2, **failing)
+                tv.run_sweep(small_geom, g, **failing)
 
-    def test_costliest_cells_submitted_first(self, small_geom, pool_calls):
+    def test_costliest_cells_submitted_first(self, small_geom, pool_calls, cpu_set):
         g = tv.forward_project(tv.assemble_system_matrix(small_geom, 8),
                                tv.render_phantom(tv.Phantom.disc(r=0.3), 8))
         grid = dict(alphas=[1.0, 0.01, 0.1], resolutions=[4, 8])
-        parallel = tv.run_sweep(small_geom, g, jobs=2, **grid)
+        cpu_set(2)
+        parallel = tv.run_sweep(small_geom, g, **grid)
         [pool] = pool_calls
         assert pool.cells == [(a, n) for n in (8, 4) for a in (0.01, 0.1, 1.0)]
-        serial = tv.run_sweep(small_geom, g, jobs=1, **grid)
+        cpu_set(1)
+        serial = tv.run_sweep(small_geom, g, **grid)
         assert parallel.resolutions == serial.resolutions
         for name in ("alphas", "tv", "residual", "iterations", "status"):
             np.testing.assert_array_equal(getattr(parallel, name), getattr(serial, name))
@@ -399,8 +411,8 @@ class TestRunSweep:
     @pytest.mark.parametrize("grid", [
         dict(alphas=[0.1], resolutions=[4, 4]),
         dict(alphas=[1.0, 0.1, 1.0], resolutions=[4]),
-        dict(alphas=[0.1], resolutions=[4], jobs=0),
-        dict(alphas=[0.1], resolutions=[4], jobs=-3),
+        dict(alphas=[0.1], resolutions=[1, 4]),
+        dict(alphas=[0.1], resolutions=[0]),
         dict(alphas=[], resolutions=[4]),
         dict(alphas=[0.0, 0.1], resolutions=[4]),
         dict(alphas=[-1, 1e-3, 1e-2, 0.1, 1], resolutions=[4, 8]),
@@ -408,7 +420,7 @@ class TestRunSweep:
         dict(alphas=[0.1, np.inf], resolutions=[4]),
         dict(alphas=["0.1"], resolutions=[4]),
         dict(alphas=[True, 0.1], resolutions=[4]),
-    ], ids=["duplicate-resolutions", "duplicate-alphas", "jobs-0", "jobs-negative", "no-alphas",
+    ], ids=["duplicate-resolutions", "duplicate-alphas", "resolution-1", "resolution-0", "no-alphas",
             "alpha-0", "alpha-negative", "alpha-nan", "alpha-inf", "alpha-str", "alpha-bool"])
     def test_bad_grid_rejected_before_solving(self, small_geom, monkeypatch, grid):
         def no_assembly(*args):
