@@ -55,12 +55,6 @@ def _version():
         return "unknown"
 
 
-def _out_dir(args):
-    out = args.out or os.environ.get("TVTOMO_OUT") or "tvtomo_out"
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 def _write_manifest(out, args, extra):
     entries = {
         "command": " ".join(args.argv),
@@ -114,9 +108,6 @@ def _comma_list(cast):
 
 
 def _add_solver_flags(p):
-    p.add_argument("--solver-tol-primal", dest="solver_tol_primal", type=float)
-    p.add_argument("--solver-tol-dual", dest="solver_tol_dual", type=float)
-    p.add_argument("--solver-tol-gap", dest="solver_tol_gap", type=float)
     p.add_argument("--solver-max-iterations", dest="solver_max_iterations", type=int)
 
 
@@ -135,7 +126,7 @@ def _build_parser():
         prog="tvtomo",
         description="TV-regularized 2D tomography with automatic parameter selection",
     )
-    parser.add_argument("--out", help="output directory (default $TVTOMO_OUT or ./tvtomo_out)")
+    parser.add_argument("--out", default="tvtomo_out", help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("phantom", help="render a synthetic phantom image")
@@ -299,6 +290,7 @@ def _cmd_sweep(args, out):
 def _cmd_select(args, out):
     table = fileio.read_sweep_csv(args.table)
     n = max(table.resolutions) if args.n is None else args.n
+    table.column(n)  # multires reads no single column, but --n must still name one
     if args.method == "multires":
         alpha, diagnostics = select_multiresolution(table, stability_tol=args.tol)
     elif args.method == "scurve":
@@ -359,9 +351,9 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     args.argv = ["tvtomo"] + argv
-    out = _out_dir(args)
     try:
-        _COMMANDS[args.command](args, out)
+        os.makedirs(args.out, exist_ok=True)
+        _COMMANDS[args.command](args, args.out)
     except SolverFailureError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER

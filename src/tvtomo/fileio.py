@@ -288,7 +288,7 @@ def read_phantom_file(path):
 
 
 def read_config(path):
-    """Flat key-value config with dotted section prefixes (solver.tol_gap=...)."""
+    """Flat key-value config with dotted section prefixes (solver.max_iterations=...)."""
     out = {}
     for lineno, line in enumerate(_text_lines(path), 1):
         line = line.strip()

@@ -141,7 +141,6 @@ class Sinogram:
 
     geometry: ScanGeometry
     data: np.ndarray
-    noise_meta: dict = None
 
     def __post_init__(self):
         d = np.asarray(self.data, dtype=float).ravel()

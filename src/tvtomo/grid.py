@@ -46,10 +46,6 @@ class ImageGrid:
         object.__setattr__(self, "values", v)
         self.values.setflags(write=False)
 
-    @property
-    def pixel_size(self):
-        return 1.0 / self.n
-
     @classmethod
     def from_matrix(cls, mat):
         """Build from an (n, n) array indexed [row, col]."""

@@ -35,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ParameterError, SolverFailureError, check_count, check_real
+from .errors import ParameterError, SolverFailureError, check_count
 from .grid import ImageGrid
 from .qp import QpProblem, build_qp
 
@@ -52,21 +52,17 @@ _NEGATIVE_CLAMP = -1e-12
 _ETA = 0.995  # fraction-to-boundary
 _CENTERING_EXPONENT = 3.0  # Mehrotra: sigma = (mu_aff / mu) ** 3
 _CG_RTOL = 1e-9  # inner CG; the Newton-residual limits are multiples of it
+_TOL = 1e-8  # relative primal and dual residuals and the gap mu at convergence
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    tol_primal: float = 1e-8
-    tol_dual: float = 1e-8
-    tol_gap: float = 1e-8
     max_iterations: int = 100
     cg_max_iterations: int = 2000
     # accepted and ignored: benchmarks/workloads.py warm_up still passes it
     backend: InitVar[str] = "auto"
 
     def __post_init__(self, backend):
-        for name in ("tol_primal", "tol_dual", "tol_gap"):
-            check_real(name, getattr(self, name), ParameterError)
         check_count("max_iterations", self.max_iterations, 0, ParameterError)
         check_count("cg_max_iterations", self.cg_max_iterations, 1, ParameterError)
 
@@ -307,9 +303,9 @@ def pdip_solve(problem, config=None):
         mu = float(z @ x) / nz
 
         converged = (
-            r_primal / norm_b <= config.tol_primal
-            and r_dual / norm_c <= config.tol_dual
-            and mu <= config.tol_gap
+            r_primal / norm_b <= _TOL
+            and r_dual / norm_c <= _TOL
+            and mu <= _TOL
         )
         if converged or it == config.max_iterations:
             history.append((it, mu, r_primal, r_dual, 0.0, 0.0))

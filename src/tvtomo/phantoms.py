@@ -150,14 +150,12 @@ def add_noise(s, spec):
     Deterministic per seed (numpy PCG64 generator); the clean maximum sets
     the scale.  A zero level returns the data unchanged.
     """
-    meta = {"relative_level": spec.relative_level, "seed": spec.seed}
     if spec.relative_level == 0.0:
-        return Sinogram(geometry=s.geometry, data=s.data.copy(), noise_meta=meta)
+        return Sinogram(geometry=s.geometry, data=s.data.copy())
     peak = float(np.max(s.data))
     if peak < 0:
         raise ParameterError(f"noise scale level * max(g) needs max(g) >= 0, got {peak!r}")
     sigma = spec.relative_level * peak
     rng = np.random.default_rng(spec.seed)
     e = rng.normal(0.0, sigma, size=s.data.size)
-    meta["sigma"] = sigma
-    return Sinogram(geometry=s.geometry, data=s.data + e, noise_meta=meta)
+    return Sinogram(geometry=s.geometry, data=s.data + e)

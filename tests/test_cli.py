@@ -39,6 +39,16 @@ class TestPhantomCommand:
     def test_unknown_subcommand(self, tmp_path):
         assert run(tmp_path, "frobnicate") == 2
 
+    def test_unusable_out_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # where a relative --out would land
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        for out in (afile, afile / "x", ""):
+            capsys.readouterr()
+            assert main(["--out", str(out), "phantom", "--n", "4"]) == 2, out
+            assert "error:" in capsys.readouterr().err, out
+        assert sorted(tmp_path.iterdir()) == [afile]
+
 
 class TestPipeline:
     def make_data(self, tmp_path):
@@ -180,7 +190,8 @@ class TestConfigMerging:
                                             for v in ("nan", "inf", "-1", "0")),
                      # fixed constants of the solver, so unknown keys
                      "solver.eta=0.9", "solver.centering_exponent=3",
-                     "solver.inner_tol=1e-9",
+                     "solver.inner_tol=1e-9", "solver.tol_primal=1e-8",
+                     "solver.tol_dual=1e-8", "solver.tol_gap=1e-10",
                      "geometry.num_angles=abc", "geometry.nm_angles=6"):
             cfg.write_text(line + "\n")
             code = run(tmp_path, "reconstruct", "--sino", str(tmp_path / "sinogram.sino"),
@@ -213,6 +224,8 @@ class TestConfigMerging:
             ["reconstruct", "--sino", sino, "--n", "8", "--alpha", "nan", *geometry],
             ["reconstruct", "--sino", sino, "--n", "8", "--alpha", "0.1",
              "--solver-backend", "cg", *geometry],
+            ["reconstruct", "--sino", sino, "--n", "8", "--alpha", "0.1",
+             "--solver-tol-gap", "1e-10", *geometry],
             ["reconstruct", "--sino", sino, "--n", "8", "--alpha", "0.1",
              "--config", str(not_utf8), *geometry],
             ["report", "--table", str(not_utf8)],
@@ -284,5 +297,7 @@ class TestSweepTableInput:
                               residual=np.ones((2, 2)))
         path = tmp_path / "sweep.csv"
         tv.write_sweep_csv(path, table)
-        assert run(tmp_path, "select", "--table", str(path), "--method", "lcurve", "--n", n) == 2
-        assert f"resolution {n} not in table" in capsys.readouterr().err
+        for method in ("multires", "scurve", "lcurve"):
+            assert run(tmp_path, "select", "--table", str(path), "--method", method,
+                       "--n", n) == 2, method
+            assert f"resolution {n} not in table" in capsys.readouterr().err, method

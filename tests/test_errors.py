@@ -31,8 +31,6 @@ G = tv.forward_project(A, tv.render_phantom(tv.Phantom.disc(r=0.25), 4))
 # test_counts_must_be_integers, test_bad_seed_rejected, test_non_finite_level_rejected
 # and test_bad_stability_tol_rejected
 @pytest.mark.parametrize("error, call", [
-    (ParameterError, lambda: tv.SolverConfig(tol_gap="1e-8")),
-    (ParameterError, lambda: tv.SolverConfig(tol_primal=True)),
     (InvalidGeometryError, lambda: tv.ScanGeometry(detector_extent="1.4")),
     (InvalidGeometryError, lambda: tv.ScanGeometry(mode="fan", source_radius="2",
                                                    detector_radius=2.0)),
@@ -50,7 +48,7 @@ G = tv.forward_project(A, tv.render_phantom(tv.Phantom.disc(r=0.25), 4))
     (ParameterError, lambda: tv.build_qp(A, G, "1")),
     (DegeneratePriorError, lambda: tv.SCurvePrior(s_hat=np.nan)),
     (DegeneratePriorError, lambda: tv.SCurvePrior(s_hat=np.inf)),
-], ids=["tol-str", "tol-bool", "extent-str", "fan-radius-str",
+], ids=["extent-str", "fan-radius-str",
         "assemble-n-float", "grid-n-float", "operators-n-float", "average-n-float",
         "upsample-n-float", "upsample-n-negative",
         "disc-r-str", "disc-center-str", "shells-value-str", "polygon-value-str",

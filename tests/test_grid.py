@@ -158,6 +158,3 @@ class TestImageGrid:
     def test_rejects_nonfinite(self):
         with pytest.raises(ShapeMismatchError):
             tv.ImageGrid(2, np.array([0.0, 1.0, np.nan, 2.0]))
-
-    def test_pixel_size(self):
-        assert tv.ImageGrid(4, np.zeros(16)).pixel_size == 0.25

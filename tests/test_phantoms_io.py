@@ -138,12 +138,6 @@ class TestNoise:
         # a zero level never scales by the maximum, so it still passes through
         assert np.array_equal(tv.add_noise(g, tv.NoiseSpec(relative_level=0.0)).data, g.data)
 
-    def test_metadata_recorded(self):
-        g = self.make_sino()
-        noisy = tv.add_noise(g, tv.NoiseSpec(relative_level=0.02, seed=7))
-        assert noisy.noise_meta["seed"] == 7
-        assert noisy.noise_meta["relative_level"] == 0.02
-
 
 class TestImageIo:
     def test_round_trip_bit_identical(self, tmp_path, rng):

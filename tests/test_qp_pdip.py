@@ -10,7 +10,7 @@ import scipy.sparse.linalg as spla
 
 import tvtomo as tv
 from tvtomo.errors import ParameterError, SolverFailureError
-from tvtomo.pdip import _step_to_boundary
+from tvtomo.pdip import _TOL, _step_to_boundary
 from tvtomo.qp import split_variables
 
 from conftest import make_tv_instance, projected_subgradient
@@ -161,12 +161,11 @@ class TestPdipSolve:
 
     def test_kkt_certificate_at_termination(self):
         _, _, _, _, problem = make_tv_instance(n=4, num_angles=6, alpha=0.5, seed=8)
-        cfg = tv.SolverConfig()
-        img, report = tv.pdip_solve(problem, cfg)
+        img, report = tv.pdip_solve(problem)
         assert report.reason == "converged"
-        assert report.r_primal / (1 + np.linalg.norm(problem.b)) <= 10 * cfg.tol_primal
-        assert report.r_dual / (1 + np.linalg.norm(problem.c)) <= 10 * cfg.tol_dual
-        assert report.mu <= 10 * cfg.tol_gap
+        assert report.r_primal / (1 + np.linalg.norm(problem.b)) <= 10 * _TOL
+        assert report.r_dual / (1 + np.linalg.norm(problem.c)) <= 10 * _TOL
+        assert report.mu <= 10 * _TOL
 
     def test_never_returns_nan(self):
         _, _, _, _, problem = make_tv_instance(n=4, num_angles=4, alpha=10.0, seed=6)
