@@ -26,7 +26,6 @@ from .errors import (
 from .fileio import (
     read_config,
     read_image,
-    read_phantom_file,
     read_sinogram,
     read_sinogram_csv,
     read_sweep_csv,

@@ -22,7 +22,6 @@ from .errors import (
     FormatError,
     NoSelectionError,
     OutOfRangeError,
-    ParameterError,
     SolverFailureError,
     TvTomoError,
 )
@@ -55,49 +54,27 @@ def _version():
         return "unknown"
 
 
-def _write_manifest(out, args, extra):
+def _out(args, name):
+    """The path of ``name`` in the ``--out`` directory, made at the first write."""
+    os.makedirs(args.out, exist_ok=True)
+    return os.path.join(args.out, name)
+
+
+def _write_manifest(args, extra):
     entries = {
         "command": " ".join(args.argv),
         "subcommand": args.command,
         "version": _version(),
     }
     entries.update(extra)
-    fileio.write_config(os.path.join(out, "manifest.txt"), entries)
+    fileio.write_config(_out(args, "manifest.txt"), entries)
 
 
-_SECTIONS = {"solver": SolverConfig, "geometry": ScanGeometry}
-
-
-def _config_keys(args):
-    """The ``--config`` file's keys, each ``<section>.<field>`` of ``_SECTIONS``."""
-    if not args.config:
-        return {}
-    kv = fileio.read_config(args.config)
-    # geometry.angles is no key: an angle array cannot be cast from text
-    known = {f"{section}.{f.name}" for section, cls in _SECTIONS.items()
-             for f in fields(cls) if f.name != "angles"}
-    unknown = sorted(set(kv) - known)
-    if unknown:
-        raise ParameterError(f"{args.config}: unknown config keys {', '.join(unknown)}")
-    return kv
-
-
-def _from_args(section, args, kv):
-    """Build a section's dataclass: flag ``args.<section>_<field>`` over the
-    ``<section>.<field>`` config key over the dataclass default."""
-    cls = _SECTIONS[section]
-    values = {}
-    for f in fields(cls):
-        key = f"{section}.{f.name}"
-        if key in kv:
-            try:
-                values[f.name] = f.type(kv[key])
-            except ValueError as exc:
-                raise ParameterError(f"{key}={kv[key]!r}: {exc}") from exc
-        flag = getattr(args, f"{section}_{f.name}", None)
-        if flag is not None:
-            values[f.name] = flag
-    return cls(**values)
+def _from_args(cls, section, args):
+    """Build ``cls`` from the ``args.<section>_<field>`` flags that were given;
+    every other field keeps its dataclass default."""
+    values = {f.name: getattr(args, f"{section}_{f.name}", None) for f in fields(cls)}
+    return cls(**{name: v for name, v in values.items() if v is not None})
 
 
 def _comma_list(cast):
@@ -112,7 +89,6 @@ def _add_solver_flags(p):
 
 
 def _add_geometry_flags(p):
-    p.add_argument("--config", help="key-value config file (solver.*, geometry.*)")
     p.add_argument("--mode", dest="geometry_mode", choices=["parallel", "fan"])
     p.add_argument("--angles", dest="geometry_num_angles", type=int, help="projection angles")
     p.add_argument("--detectors", dest="geometry_num_detector_pixels", type=int, help="per angle")
@@ -183,7 +159,7 @@ def _build_parser():
     return parser
 
 
-def _cmd_phantom(args, out):
+def _cmd_phantom(args):
     if args.kind == "disc":
         phantom = Phantom.disc(r=args.r, value=args.value)
     elif args.kind == "shells":
@@ -196,26 +172,26 @@ def _cmd_phantom(args, out):
         phantom = Phantom.polygon(fileio.parse_pairs(args.vertices), value=args.value)
     img = render_phantom(phantom, args.n)
     tv = tv_norm(img)  # refuses n = 1 before anything is written
-    img_path = os.path.join(out, f"{args.name}.img")
+    img_path = _out(args, f"{args.name}.img")
     fileio.write_image(img_path, img)
-    fileio.write_pgm(os.path.join(out, f"{args.name}.pgm"), img)
-    fileio.write_phantom_file(os.path.join(out, f"{args.name}.phantom"), phantom)
-    _write_manifest(out, args, {
+    fileio.write_pgm(_out(args, f"{args.name}.pgm"), img)
+    fileio.write_phantom_file(_out(args, f"{args.name}.phantom"), phantom)
+    _write_manifest(args, {
         "phantom.kind": phantom.kind, "phantom.n": args.n,
         "output.image": img_path, "output.tv_norm": repr(tv),
     })
     print(f"phantom written to {img_path} (tv_norm={tv:.12g})")
 
 
-def _cmd_project(args, out):
+def _cmd_project(args):
     img = fileio.read_image(args.image)
-    geom = _from_args("geometry", args, _config_keys(args))
+    geom = _from_args(ScanGeometry, "geometry", args)
     A = assemble_system_matrix(geom, img.n)
     sino = forward_project(A, img)
-    path = os.path.join(out, f"{args.name}.sino")
+    path = _out(args, f"{args.name}.sino")
     fileio.write_sinogram(path, sino)
-    fileio.write_sinogram_csv(os.path.join(out, f"{args.name}.csv"), sino)
-    _write_manifest(out, args, {
+    fileio.write_sinogram_csv(_out(args, f"{args.name}.csv"), sino)
+    _write_manifest(args, {
         "input.image": args.image, "geometry.mode": geom.mode,
         "geometry.num_angles": geom.num_angles,
         "geometry.num_detector_pixels": geom.num_detector_pixels,
@@ -225,36 +201,36 @@ def _cmd_project(args, out):
     print(f"sinogram written to {path} (M={geom.num_rays})")
 
 
-def _cmd_noise(args, out):
+def _cmd_noise(args):
     sino = fileio.read_sinogram(args.sino)
     spec = NoiseSpec(relative_level=args.level, seed=args.seed)
     noisy = add_noise(sino, spec)
-    path = os.path.join(out, f"{args.name}.sino")
+    path = _out(args, f"{args.name}.sino")
     fileio.write_sinogram(path, noisy)
-    _write_manifest(out, args, {
+    _write_manifest(args, {
         "input.sinogram": args.sino, "noise.relative_level": repr(args.level),
         "noise.seed": args.seed, "output.sinogram": path,
     })
     print(f"noisy sinogram written to {path}")
 
 
-def _cmd_reconstruct(args, out):
-    kv = _config_keys(args)
-    cfg, geom = _from_args("solver", args, kv), _from_args("geometry", args, kv)
+def _cmd_reconstruct(args):
+    cfg = _from_args(SolverConfig, "solver", args)
+    geom = _from_args(ScanGeometry, "geometry", args)
     sino = fileio.read_sinogram(args.sino, geometry=geom)
     A = assemble_system_matrix(geom, args.n)
     img, report = reconstruct(A, sino, args.alpha, config=cfg)
-    img_path = os.path.join(out, f"{args.name}.img")
+    img_path = _out(args, f"{args.name}.img")
     fileio.write_image(img_path, img)
-    fileio.write_pgm(os.path.join(out, f"{args.name}.pgm"), img)
+    fileio.write_pgm(_out(args, f"{args.name}.pgm"), img)
     fileio.write_curve_csv(
-        os.path.join(out, f"{args.name}_convergence.csv"),
+        _out(args, f"{args.name}_convergence.csv"),
         {k: np.array(v) for k, v in zip(
             ["iteration", "mu", "r_primal", "r_dual", "step_primal", "step_dual"],
             zip(*report.history))},
     )
     tv = tv_norm(img)
-    _write_manifest(out, args, {
+    _write_manifest(args, {
         "input.sinogram": args.sino, "alpha": repr(args.alpha), "n": args.n,
         "output.image": img_path, "output.tv_norm": repr(tv),
         "solver.iterations": report.iterations, "solver.reason": report.reason,
@@ -268,14 +244,14 @@ def _cmd_reconstruct(args, out):
             f"solver stopped without converging: {report.reason}", report=report)
 
 
-def _cmd_sweep(args, out):
-    kv = _config_keys(args)
-    cfg, geom = _from_args("solver", args, kv), _from_args("geometry", args, kv)
+def _cmd_sweep(args):
+    cfg = _from_args(SolverConfig, "solver", args)
+    geom = _from_args(ScanGeometry, "geometry", args)
     sino = fileio.read_sinogram(args.sino, geometry=geom)
     table = run_sweep(geom, sino, args.alphas, args.resolutions, config=cfg)
-    path = os.path.join(out, f"{args.name}.csv")
+    path = _out(args, f"{args.name}.csv")
     fileio.write_sweep_csv(path, table)
-    _write_manifest(out, args, {
+    _write_manifest(args, {
         "input.sinogram": args.sino,
         "alphas": ",".join(repr(a) for a in table.alphas),
         "resolutions": ",".join(str(r) for r in table.resolutions),
@@ -287,7 +263,7 @@ def _cmd_sweep(args, out):
     print(f"sweep table written to {path}")
 
 
-def _cmd_select(args, out):
+def _cmd_select(args):
     table = fileio.read_sweep_csv(args.table)
     n = max(table.resolutions) if args.n is None else args.n
     table.column(n)  # multires reads no single column, but --n must still name one
@@ -296,7 +272,7 @@ def _cmd_select(args, out):
     elif args.method == "scurve":
         if not args.prior or not args.sino:
             raise FormatError("select --method scurve needs --prior files and --sino")
-        geom = _from_args("geometry", args, _config_keys(args))
+        geom = _from_args(ScanGeometry, "geometry", args)
         sino = fileio.read_sinogram(args.sino, geometry=geom)
         priors = [fileio.read_image(p) for p in args.prior]
         A = assemble_system_matrix(geom, n)
@@ -305,15 +281,15 @@ def _cmd_select(args, out):
     else:
         alpha, diagnostics = select_lcurve(table, n)
     fileio.write_diagnostics_csv(
-        os.path.join(out, f"select_{args.method}.csv"), diagnostics)
-    _write_manifest(out, args, {
+        _out(args, f"select_{args.method}.csv"), diagnostics)
+    _write_manifest(args, {
         "input.table": args.table, "method": args.method,
         "selected_alpha": repr(alpha),
     })
     print(f"selected alpha = {alpha:.12g} ({args.method})")
 
 
-def _cmd_report(args, out):
+def _cmd_report(args):
     table = fileio.read_sweep_csv(args.table)
     spreads, stable = stable_rows(table, args.tol)
     header = "alpha      " + "  ".join(f"n={n:<8d}" for n in table.resolutions) + "spread    stable"
@@ -324,12 +300,12 @@ def _cmd_report(args, out):
         lines.append(f"{alpha:<10.3g} {tv_cells}{spreads[i]:<10.3g}{mark}")
     text = "\n".join(lines)
     print(text)
-    fileio.write_curve_csv(os.path.join(out, "report.csv"), {
+    fileio.write_curve_csv(_out(args, "report.csv"), {
         "alpha": table.alphas, "spread": spreads,
         "stable": stable.astype(int),
         **{f"tv_n{n}": table.tv[:, j] for j, n in enumerate(table.resolutions)},
     })
-    _write_manifest(out, args, {"input.table": args.table, "output.report": "report.csv"})
+    _write_manifest(args, {"input.table": args.table, "output.report": "report.csv"})
 
 
 _COMMANDS = {
@@ -352,8 +328,7 @@ def main(argv=None):
         return EXIT_USAGE if exc.code not in (0, None) else 0
     args.argv = ["tvtomo"] + argv
     try:
-        os.makedirs(args.out, exist_ok=True)
-        _COMMANDS[args.command](args, args.out)
+        _COMMANDS[args.command](args)
     except SolverFailureError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER

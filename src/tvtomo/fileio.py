@@ -15,7 +15,6 @@ import numpy as np
 from .errors import FormatError, check_count, check_real
 from .geometry import ScanGeometry, Sinogram
 from .grid import ImageGrid
-from .phantoms import Phantom
 from .table import CELL_STATUSES, SweepTable
 
 __all__ = [
@@ -24,7 +23,7 @@ __all__ = [
     "write_sinogram_csv", "read_sinogram_csv",
     "write_sweep_csv", "read_sweep_csv",
     "write_curve_csv", "write_diagnostics_csv",
-    "write_phantom_file", "read_phantom_file",
+    "write_phantom_file",
     "read_config", "write_config", "parse_pairs",
 ]
 
@@ -260,35 +259,8 @@ def parse_pairs(text):
     return pairs
 
 
-def read_phantom_file(path):
-    kv = read_config(path)
-
-    def get(key, cast=float, default=None):
-        if key not in kv and default is None:
-            raise FormatError(f"{path}: missing key {key!r}")
-        try:
-            return cast(kv.get(key, default))
-        except ValueError as exc:
-            raise FormatError(f"{path}: bad value {key}={kv[key]!r}: {exc}") from exc
-
-    kind = kv.get("kind")
-    if kind == "disc":
-        return Phantom.disc(
-            r=get("r"), value=get("value"), center=(get("cx", default=0.5), get("cy", default=0.5)),
-        )
-    if kind == "nested-shells":
-        return Phantom.nested_shells(
-            get("shells", parse_pairs), center=(get("cx", default=0.5), get("cy", default=0.5)),
-        )
-    if kind == "piecewise-polygon":
-        return Phantom.polygon(get("vertices", parse_pairs), value=get("value"))
-    if kind == "empty":
-        return Phantom.empty()
-    raise FormatError(f"{path}: unknown phantom kind {kind!r}")
-
-
 def read_config(path):
-    """Flat key-value config with dotted section prefixes (solver.max_iterations=...)."""
+    """A flat key=value file, such as the ``manifest.txt`` every CLI command writes."""
     out = {}
     for lineno, line in enumerate(_text_lines(path), 1):
         line = line.strip()

@@ -17,7 +17,7 @@ from .grid import ImageGrid
 
 __all__ = ["Phantom", "NoiseSpec", "render_phantom", "add_noise"]
 
-_KINDS = ("disc", "nested-shells", "piecewise-polygon", "empty")
+_KINDS = ("disc", "nested-shells", "piecewise-polygon")
 
 
 @dataclass(frozen=True)
@@ -88,10 +88,6 @@ class Phantom:
                     "value": float(value)},
         )
 
-    @classmethod
-    def empty(cls):
-        return cls(kind="empty", analytic_tv=0.0)
-
 
 def _points_in_polygon(px, py, verts):
     """Even-odd rule point-in-polygon test, vectorized over points."""
@@ -115,8 +111,6 @@ def render_phantom(p, n):
     y = np.broadcast_to(centers[:, None], (n, n))
     x = np.broadcast_to(centers[None, :], (n, n))
 
-    if p.kind == "empty":
-        return ImageGrid.from_matrix(np.zeros((n, n)))
     if p.kind in ("disc", "nested-shells"):
         shells = (p.params["shells"] if p.kind == "nested-shells"
                   else [(p.params["r"], p.params["value"])])

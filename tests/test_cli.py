@@ -26,7 +26,9 @@ class TestPhantomCommand:
                    "--shells", "0.375:1.0,0.25:2.0", "--n", "64", "--name", "sh")
         assert code == 0
         img = tv.read_image(tmp_path / "sh.img")
-        phantom = tv.read_phantom_file(tmp_path / "sh.phantom")
+        assert (tmp_path / "sh.phantom").read_text() == (
+            "kind=nested-shells\nshells=0.375:1.0,0.25:2.0\ncx=0.5\ncy=0.5\n")
+        phantom = tv.Phantom.nested_shells([(0.375, 1.0), (0.25, 2.0)])
         assert tv.tv_norm(img) == pytest.approx(phantom.analytic_tv, abs=1e-12)
 
     def test_missing_required_flag_is_usage_error(self, tmp_path):
@@ -48,6 +50,21 @@ class TestPhantomCommand:
             assert main(["--out", str(out), "phantom", "--n", "4"]) == 2, out
             assert "error:" in capsys.readouterr().err, out
         assert sorted(tmp_path.iterdir()) == [afile]
+
+    @pytest.mark.parametrize("argv", [
+        ["select", "--table", "nope.csv", "--method", "multires"],
+        ["reconstruct", "--sino", "nope.sino", "--n", "8", "--alpha", "0.1"],
+        ["phantom", "--n", "1"],
+        ["sweep", "--sino", "{sino}", "--resolutions", "1,8"],
+    ], ids=["missing-table", "missing-sinogram", "one-pixel-phantom", "one-pixel-sweep"])
+    def test_refused_run_leaves_no_out_dir(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)  # where the relative input names point
+        sino = tv.Sinogram(geometry=tv.ScanGeometry(), data=np.ones(tv.ScanGeometry().num_rays))
+        tv.write_sinogram(tmp_path / "data.sino", sino)
+        out = tmp_path / "out"
+        argv = [a.format(sino=tmp_path / "data.sino") for a in argv]
+        assert main(["--out", str(out), *argv]) == 2
+        assert not out.exists()
 
 
 class TestPipeline:
@@ -168,14 +185,14 @@ class TestPipeline:
 
 
 class TestConfigMerging:
-    def test_config_file_sets_solver_options(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("solver.max_iterations=2\n")
+    """SolverConfig and ScanGeometry come from their flags over the dataclass defaults."""
+
+    def test_solver_flag_sets_iteration_cap(self, tmp_path):
         assert run(tmp_path, "phantom", "--kind", "disc", "--n", "8") == 0
         assert run(tmp_path, "project", "--image", str(tmp_path / "phantom.img"),
                    "--angles", "12", "--detectors", "12") == 0
         code = run(tmp_path, "reconstruct", "--sino", str(tmp_path / "sinogram.sino"),
-                   "--n", "8", "--alpha", "0.1", "--config", str(cfg),
+                   "--n", "8", "--alpha", "0.1", "--solver-max-iterations", "2",
                    "--angles", "12", "--detectors", "12")
         # two iterations cannot converge: solver failure exit code
         assert code == 3
@@ -184,20 +201,16 @@ class TestConfigMerging:
         assert run(tmp_path, "phantom", "--kind", "disc", "--n", "8") == 0
         assert run(tmp_path, "project", "--image", str(tmp_path / "phantom.img"),
                    "--angles", "12", "--detectors", "12") == 0
-        cfg = tmp_path / "bad.cfg"
-        for line in ("solver.eta=2", "solver.max_iterations=abc", "solver.etaa=0.5",
-                     "solver.backend=cg", *(f"solver.centering_exponent={v}"
-                                            for v in ("nan", "inf", "-1", "0")),
-                     # fixed constants of the solver, so unknown keys
-                     "solver.eta=0.9", "solver.centering_exponent=3",
-                     "solver.inner_tol=1e-9", "solver.tol_primal=1e-8",
-                     "solver.tol_dual=1e-8", "solver.tol_gap=1e-10",
-                     "geometry.num_angles=abc", "geometry.nm_angles=6"):
-            cfg.write_text(line + "\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("solver.max_iterations=2\n")
+        for flags in (["--config", str(cfg)],  # no config file route: an unknown flag
+                      ["--solver-max-iterations", "abc"],
+                      ["--solver-max-iterations", "-1"],
+                      ["--angles", "abc"]):
             code = run(tmp_path, "reconstruct", "--sino", str(tmp_path / "sinogram.sino"),
-                       "--n", "8", "--alpha", "0.1", "--config", str(cfg),
-                       "--angles", "12", "--detectors", "12")
-            assert code == 2, line
+                       "--n", "8", "--alpha", "0.1", "--angles", "12", "--detectors", "12",
+                       *flags)
+            assert code == 2, flags
 
     def test_malformed_values_are_usage_errors(self, tmp_path, capsys):
         assert run(tmp_path, "phantom", "--kind", "disc", "--n", "8") == 0
@@ -226,8 +239,6 @@ class TestConfigMerging:
              "--solver-backend", "cg", *geometry],
             ["reconstruct", "--sino", sino, "--n", "8", "--alpha", "0.1",
              "--solver-tol-gap", "1e-10", *geometry],
-            ["reconstruct", "--sino", sino, "--n", "8", "--alpha", "0.1",
-             "--config", str(not_utf8), *geometry],
             ["report", "--table", str(not_utf8)],
         ]
         for argv in cases:
@@ -258,18 +269,6 @@ class TestConfigMerging:
             capsys.readouterr()
             assert run(tmp_path, *argv) == 2, argv
             assert "error:" in capsys.readouterr().err, argv
-
-    def test_cli_flag_overrides_config(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("solver.max_iterations=2\n")
-        assert run(tmp_path, "phantom", "--kind", "disc", "--n", "8") == 0
-        assert run(tmp_path, "project", "--image", str(tmp_path / "phantom.img"),
-                   "--angles", "12", "--detectors", "12") == 0
-        code = run(tmp_path, "reconstruct", "--sino", str(tmp_path / "sinogram.sino"),
-                   "--n", "8", "--alpha", "0.1", "--config", str(cfg),
-                   "--solver-max-iterations", "100",
-                   "--angles", "12", "--detectors", "12")
-        assert code == 0
 
 
 class TestSweepTableInput:

@@ -44,7 +44,7 @@ G = tv.forward_project(A, tv.render_phantom(tv.Phantom.disc(r=0.25), 4))
     (ParameterError, lambda: tv.Phantom.disc(center=("0.5", 0.5))),
     (ParameterError, lambda: tv.Phantom.nested_shells([(0.3, "1")])),
     (ParameterError, lambda: tv.Phantom.polygon([(0.2, 0.2), (0.8, 0.2), (0.5, 0.8)], "1")),
-    (ParameterError, lambda: tv.render_phantom(tv.Phantom.empty(), 4.0)),
+    (ParameterError, lambda: tv.render_phantom(tv.Phantom.disc(), 4.0)),
     (ParameterError, lambda: tv.build_qp(A, G, "1")),
     (DegeneratePriorError, lambda: tv.SCurvePrior(s_hat=np.nan)),
     (DegeneratePriorError, lambda: tv.SCurvePrior(s_hat=np.inf)),

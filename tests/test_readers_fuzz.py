@@ -15,10 +15,7 @@ from tvtomo.errors import FormatError, TvTomoError
 # well as fail at it.
 _dims = st.integers(-2, 3)
 READERS = {
-    "read_config": (tv.read_config, st.sampled_from([b"solver.tol_gap=", b"# note\n"])),
-    "read_phantom_file": (tv.read_phantom_file, st.sampled_from([
-        b"kind=disc\n", b"kind=nested-shells\nshells=", b"kind=piecewise-polygon\nvertices=",
-    ])),
+    "read_config": (tv.read_config, st.sampled_from([b"command=", b"# note\n"])),
     "read_sweep_csv": (tv.read_sweep_csv,
                        st.just(b"alpha,n,tv,residual,iterations,status\n")),
     "read_sinogram_csv": (tv.read_sinogram_csv, st.sampled_from([b"", b"1.0,2.0\n"])),
