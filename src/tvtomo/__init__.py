@@ -65,7 +65,7 @@ from .pdip import (
     solve_newton_system,
 )
 from .phantoms import NoiseSpec, Phantom, add_noise, render_phantom
-from .qp import QpProblem, build_qp, split_variables
+from .qp import QpProblem, build_qp
 from .select import (
     SCurvePrior,
     estimate_s_hat,

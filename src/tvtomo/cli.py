@@ -298,14 +298,13 @@ def _cmd_report(args):
         tv_cells = "  ".join(f"{table.tv[i, j]:<10.4g}" for j in range(len(table.resolutions)))
         mark = "*" if stable[i] else ""
         lines.append(f"{alpha:<10.3g} {tv_cells}{spreads[i]:<10.3g}{mark}")
-    text = "\n".join(lines)
-    print(text)
     fileio.write_curve_csv(_out(args, "report.csv"), {
         "alpha": table.alphas, "spread": spreads,
         "stable": stable.astype(int),
         **{f"tv_n{n}": table.tv[:, j] for j, n in enumerate(table.resolutions)},
     })
     _write_manifest(args, {"input.table": args.table, "output.report": "report.csv"})
+    print("\n".join(lines))
 
 
 _COMMANDS = {

@@ -25,6 +25,16 @@ the default COLAMD.  `_TvNewton` factors G + diag(A^T A) once per iterate and
 runs both CG solves of that iterate; diag(A^T A) and the view A^T are built
 once per solve.
 SolverConfig is frozen; out-of-range values raise ParameterError (CLI exit 2).
+
+`reconstruct` first checks the TV-zero regime.  With a1 = A 1, the best
+constant fit is c* = <a1, g> / |a1|^2, and r = A^T (g - c* a1) sums to 0.
+The periodic Poisson problem (D_h^T D_h + D_v^T D_v) u = r is solved with
+one fft2/ifft2 pair, and p = (D_h u, D_v u) satisfies D^T p = r.  For
+alpha >= max|p|, p / alpha is a subgradient of the TV term at c* 1, so
+c* 1 is optimal: `reconstruct` returns it with a converged report of 0
+iterations, and runs `pdip_solve` only below that bound (or when c* <= 0).
+This is the discrete form of Meyer's G-norm test for ROF (Meyer 2001).
+`pdip_solve` itself is always the plain interior-point method.
 """
 
 import warnings
@@ -356,6 +366,56 @@ def pdip_solve(problem, config=None):
     return z, final
 
 
+def _solve_periodic_poisson(r, n):
+    """u with (D_h^T D_h + D_v^T D_v) u = r, for an image r whose entries sum to 0.
+
+    The 2-D DFT diagonalizes the periodic Laplacian, with eigenvalues
+    (2 - 2 cos(2 pi k / n)) / n^2 per axis; the zero mode of u is set to 0.
+    """
+    k = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    eig = (k[:, None] + k[None, :]) / n**2
+    eig[0, 0] = np.inf
+    u = np.fft.ifft2(np.fft.fft2(r.reshape(n, n, order="F")) / eig).real
+    return u.ravel(order="F")
+
+
+def _constant_image_certificate(problem):
+    """(c*, bound, r_dual) of the TV-zero test in the module docstring:
+    c* 1 minimizes the TV problem for every alpha >= bound = max|p|.
+
+    There the duals y = -p, x~ = [0; alpha - p_h; alpha + p_h; alpha - p_v;
+    alpha + p_v] >= 0 make z = [c* 1; 0; 0; 0; 0] a KKT point of the QP, and
+    r_dual = |D^T p - r| is their dual residual.  bound is inf where c* 1 is
+    not strictly feasible: c* <= 0, or A 1 = 0.
+    """
+    A, g, ops = problem.A.matrix, problem.g, problem.ops
+    a1 = A @ np.ones(problem.N)
+    a1_sq = float(a1 @ a1)
+    c_star = float(a1 @ g) / a1_sq if a1_sq > 0 else 0.0
+    if not c_star > 0:
+        return c_star, np.inf, np.nan
+    r = A.T @ (g - c_star * a1)
+    u = _solve_periodic_poisson(r, problem.n)
+    p_h, p_v = ops.d_h @ u, ops.d_v @ u
+    bound = max(float(np.abs(p_h).max()), float(np.abs(p_v).max()))
+    r_dual = float(np.linalg.norm(ops.d_h.T @ p_h + ops.d_v.T @ p_v - r))
+    return c_star, bound, r_dual
+
+
 def reconstruct(A, g_tilde, alpha, config=None):
-    """Convenience composition build_qp -> pdip_solve on one system matrix."""
-    return pdip_solve(build_qp(A, g_tilde, alpha), config)
+    """build_qp -> pdip_solve on one system matrix, or, when alpha is at or
+    above `_constant_image_certificate`'s bound, the constant image c* 1 in
+    closed form: a converged report of 0 iterations and TV exactly 0."""
+    problem = build_qp(A, g_tilde, alpha)
+    c_star, bound, r_dual = _constant_image_certificate(problem)
+    if not (np.isfinite(bound) and problem.alpha >= bound):
+        return pdip_solve(problem, config)
+    f = np.full(problem.N, c_star)
+    residual = problem.A.matrix @ f - problem.g
+    # D (c* 1) is exactly 0: each row of D_h and D_v is one -1/n and one +1/n
+    report = ConvergenceReport(
+        iterations=0, reason="converged", r_primal=0.0, r_dual=r_dual, mu=0.0,
+        objective=0.5 * float(residual @ residual),
+        history=[(0, 0.0, 0.0, r_dual, 0.0, 0.0)],
+    )
+    return ImageGrid(problem.n, f), report

@@ -20,7 +20,7 @@ import scipy.sparse as sp
 from .errors import ParameterError, ShapeMismatchError, check_real
 from .grid import build_difference_operators
 
-__all__ = ["QpProblem", "build_qp", "split_variables"]
+__all__ = ["QpProblem", "build_qp"]
 
 
 @dataclass(frozen=True)
@@ -64,15 +64,6 @@ class QpProblem:
         r = self.A.matrix @ f_values - self.g
         tv = np.abs(self.ops.d_h @ f_values).sum() + np.abs(self.ops.d_v @ f_values).sum()
         return float(0.5 * r @ r + self.alpha * tv)
-
-
-def split_variables(problem, f_values):
-    """Lift an image to the split vector [f; h+; h-; v+; v-]."""
-    dh = problem.ops.d_h @ f_values
-    dv = problem.ops.d_v @ f_values
-    return np.concatenate(
-        [f_values, np.maximum(dh, 0), np.maximum(-dh, 0), np.maximum(dv, 0), np.maximum(-dv, 0)]
-    )
 
 
 def build_qp(A, g_tilde, alpha):

@@ -66,6 +66,17 @@ class TestPhantomCommand:
         assert main(["--out", str(out), *argv]) == 2
         assert not out.exists()
 
+    def test_report_to_unusable_out_prints_nothing(self, tmp_path, capsys):
+        table = tv.SweepTable(alphas=[0.1, 1.0], resolutions=[8, 16], tv=np.ones((2, 2)),
+                              residual=np.ones((2, 2)))
+        tv.write_sweep_csv(tmp_path / "sweep.csv", table)
+        out = tmp_path / "afile"
+        out.write_text("")
+        capsys.readouterr()
+        assert main(["--out", str(out), "report", "--table", str(tmp_path / "sweep.csv")]) == 2
+        assert capsys.readouterr().out == ""
+        assert out.is_file()
+
 
 class TestPipeline:
     def make_data(self, tmp_path):
@@ -89,6 +100,15 @@ class TestPipeline:
         err = np.linalg.norm(recon.values - phantom.values) / np.linalg.norm(phantom.values)
         assert err <= 0.2
         assert (tmp_path / "recon_convergence.csv").exists()
+
+    def test_reconstruct_above_the_tv_zero_bound(self, tmp_path, capsys):
+        sino_path = self.make_data(tmp_path)
+        assert run(tmp_path, "reconstruct", "--sino", str(sino_path), "--n", "16",
+                   "--alpha", "1e3", "--angles", "24", "--detectors", "24") == 0
+        assert "tv_norm=0, 0 iterations, converged" in capsys.readouterr().out
+        lines = (tmp_path / "recon_convergence.csv").read_text().splitlines()
+        assert lines[0] == "iteration,mu,r_primal,r_dual,step_primal,step_dual"
+        assert len(lines) == 2
 
     def test_reconstruct_reproducible(self, tmp_path):
         sino_path = self.make_data(tmp_path)

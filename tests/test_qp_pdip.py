@@ -6,14 +6,28 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import tvtomo as tv
 from tvtomo.errors import ParameterError, SolverFailureError
-from tvtomo.pdip import _TOL, _step_to_boundary
-from tvtomo.qp import split_variables
+from tvtomo.pdip import (
+    _TOL,
+    _constant_image_certificate,
+    _solve_periodic_poisson,
+    _step_to_boundary,
+)
 
 from conftest import make_tv_instance, projected_subgradient
+
+
+def split_variables(problem, f_values):
+    """Lift an image to the split vector [f; h+; h-; v+; v-]."""
+    dh = problem.ops.d_h @ f_values
+    dv = problem.ops.d_v @ f_values
+    return np.concatenate(
+        [f_values, np.maximum(dh, 0), np.maximum(-dh, 0), np.maximum(dv, 0), np.maximum(-dv, 0)]
+    )
 
 
 class TestBuildQp:
@@ -272,13 +286,14 @@ class TestReconstruct:
     def test_preconditioner_factors_a_rounded_singular_laplacian(self):
         """At alpha=1e5, n=64 the TV weights reach 3e14 and G + diag(A^T A)
         rounds to a singular Laplacian: without a diagonal shift, splu finds
-        it "exactly singular" at iterate 19 with the BLAS on one thread."""
+        it "exactly singular" at iterate 19 with the BLAS on one thread.
+        `reconstruct` solves this cell in closed form, so the IPM runs directly."""
         code = (
             "import tvtomo as tv\n"
             "geom = tv.ScanGeometry(num_angles=20, num_detector_pixels=48)\n"
             "A = tv.assemble_system_matrix(geom, 64)\n"
             "g = tv.forward_project(A, tv.render_phantom(tv.Phantom.disc(r=0.25), 64))\n"
-            "print(tv.reconstruct(A, g, 1e5)[1].reason)\n"
+            "print(tv.pdip_solve(tv.build_qp(A, g, 1e5))[1].reason)\n"
         )
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
                "PYTHONPATH": str(Path(tv.__file__).parents[1])}
@@ -343,3 +358,69 @@ class TestReconstruct:
             img, _ = tv.pdip_solve(problem)
             oracle = projected_subgradient(problem, iterations=2000)
             assert problem.objective_of_image(img.values) <= oracle + 1e-6
+
+
+class TestConstantImageClosedForm:
+    """At or above the certificate's bound, `reconstruct` returns c* 1 with no IPM run."""
+
+    @staticmethod
+    def instance(seed):
+        _, A, g, _, problem = make_tv_instance(n=6, num_angles=8, alpha=1.0, seed=seed,
+                                               noise=0.05)
+        c_star, bound, _ = _constant_image_certificate(problem)
+        return A, g, c_star, bound
+
+    @pytest.mark.parametrize("factor", [1.0, 10.0])
+    def test_above_bound_is_the_constant_image(self, factor):
+        A, g, c_star, bound = self.instance(seed=100)
+        alpha = factor * bound
+        f, report = tv.reconstruct(A, g, alpha)
+        assert f.values.tobytes() == np.full(36, c_star).tobytes()
+        assert tv.tv_norm(f) == 0.0
+        assert (report.reason, report.iterations, report.mu) == ("converged", 0, 0.0)
+        assert report.history == [(0, 0.0, report.r_primal, report.r_dual, 0.0, 0.0)]
+        assert report.r_dual <= 1e-12
+        f_ipm, report_ipm = tv.pdip_solve(tv.build_qp(A, g, alpha))
+        assert report_ipm.iterations > 0
+        residual = np.linalg.norm(A.matrix @ f.values - g.data)
+        assert residual == pytest.approx(np.linalg.norm(A.matrix @ f_ipm.values - g.data),
+                                         rel=1e-6)
+        assert report.objective == pytest.approx(0.5 * residual**2, rel=1e-14)
+        assert report.objective <= report_ipm.objective
+
+    @pytest.mark.parametrize("seed", range(100, 105))
+    def test_below_bound_is_the_interior_point_run(self, seed):
+        A, g, _, bound = self.instance(seed)
+        for alpha in (0.01 * bound, 0.99 * bound):
+            f, report = tv.reconstruct(A, g, alpha)
+            f_ipm, report_ipm = tv.pdip_solve(tv.build_qp(A, g, alpha))
+            assert report.iterations > 0
+            assert f.values.tobytes() == f_ipm.values.tobytes()
+            assert report == report_ipm
+
+    @pytest.mark.parametrize("data", ["zero-data", "negative-data", "zero-matrix"])
+    def test_no_positive_constant_falls_through(self, small_geom, data):
+        A = tv.assemble_system_matrix(small_geom, 4)
+        g = tv.forward_project(A, tv.render_phantom(tv.Phantom.disc(r=0.3), 4))
+        if data == "zero-data":
+            g = tv.Sinogram(small_geom, np.zeros(small_geom.num_rays))
+        elif data == "negative-data":
+            g = tv.Sinogram(small_geom, -g.data)
+        else:  # every ray misses: A 1 = 0, so c* is undefined
+            A = tv.SparseSystemMatrix(small_geom, 4, sp.csr_matrix(A.shape))
+        problem = tv.build_qp(A, g, 1e3)
+        c_star, bound, _ = _constant_image_certificate(problem)
+        assert c_star <= 0 and bound == np.inf
+        f, report = tv.reconstruct(A, g, 1e3)
+        f_ipm, report_ipm = tv.pdip_solve(problem)
+        assert report.iterations > 0
+        assert f.values.tobytes() == f_ipm.values.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_periodic_poisson_solve(self, rng, n):
+        ops = tv.build_difference_operators(n)
+        r = rng.normal(size=n * n)
+        r -= r.mean()
+        u = _solve_periodic_poisson(r, n)
+        p_h, p_v = ops.d_h @ u, ops.d_v @ u
+        assert np.linalg.norm(ops.d_h.T @ p_h + ops.d_v.T @ p_v - r) <= 1e-10 * np.linalg.norm(r)

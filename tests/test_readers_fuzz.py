@@ -1,6 +1,7 @@
 """Every file reader returns an object or raises TvTomoError on any bytes;
 the image and sinogram readers raise FormatError."""
 
+import itertools
 import os
 import struct
 import tempfile
@@ -39,11 +40,14 @@ def test_reader_returns_object_or_tvtomo_error(name):
     contents = st.one_of(st.binary(max_size=64), st.tuples(starts, _bodies).map(b"".join))
 
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "input")
+        # a fresh file per example: truncating an existing one can flush it to
+        # disk first, which costs tens of milliseconds per write on ext4
+        names = (os.path.join(tmp, f"input{i}") for i in itertools.count())
 
         @settings(max_examples=200, derandomize=True, deadline=None, database=None)
         @given(contents)
         def check(data):
+            path = next(names)
             with open(path, "wb") as fh:
                 fh.write(data)
             try:

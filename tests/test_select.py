@@ -287,14 +287,17 @@ class TestRunSweep:
         phantom = tv.render_phantom(tv.Phantom.disc(r=0.3), 16)
         g = tv.forward_project(tv.assemble_system_matrix(small_geom, 16), phantom)
         converging = dict(alphas=[0.01, 0.1, 1.0], resolutions=[8, 16])
-        # CG capped at one iteration: the n=2 cells converge, the n=4 cells fail
+        # CG capped at one iteration: the n=4 cells fail, while the n=2 cells,
+        # above the TV-zero bound, take the closed form
         failing = dict(alphas=[0.01, 1.0], resolutions=[2, 4],
                        config=tv.SolverConfig(cg_max_iterations=1))
         cpu_set(1)
         serial = [tv.run_sweep(small_geom, g, **converging)]
         with pytest.warns(UserWarning, match=r"inner CG hit the iteration cap \(1\)"):
             serial.append(tv.run_sweep(small_geom, g, **failing))
-        assert set(serial[1].status.ravel()) == {"converged", "solver_failure"}
+        assert list(serial[1].status[:, 1]) == ["solver_failure"] * 2
+        assert list(serial[1].status[:, 0]) == ["converged"] * 2
+        assert np.all(serial[1].tv[:, 0] == 0) and np.all(serial[1].iterations[:, 0] == 0)
         cpu_set(2)
         with pytest.warns(UserWarning, match=r"inner CG hit the iteration cap \(1\)"):
             parallel = [tv.run_sweep(small_geom, g, **converging),
