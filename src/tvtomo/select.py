@@ -299,15 +299,17 @@ def select_lcurve(table, n):
     """Corner of the log-log (residual, TV) curve by maximum curvature.
 
     Only samples with positive residual and TV enter the polyline, which
-    is parametrized by log10 alpha.  Degenerate curves without a convex
-    corner trigger a NoCornerWarning and fall back to max |curvature|.
+    is parametrized by log10 alpha, so rows in the TV-zero regime leave it.
+    Curvature needs a sample on each side, so at least 3 must remain.
+    Degenerate curves without a convex corner trigger a NoCornerWarning
+    and fall back to max |curvature|.
     """
     j = table.column(n)
     table.require_complete(cols=[j])
     mask = (table.residual[:, j] > 0) & (table.tv[:, j] > 0)
-    if mask.sum() < 4:
+    if mask.sum() < 3:
         raise NoSelectionError(
-            f"L-curve needs >= 4 samples with positive residual and TV at n={n}, "
+            f"L-curve needs >= 3 samples with positive residual and TV at n={n}, "
             f"got {int(mask.sum())}"
         )
     alphas = table.alphas[mask]

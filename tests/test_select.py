@@ -236,10 +236,24 @@ class TestLCurve:
         assert alpha in table.alphas
 
     def test_too_few_samples(self):
-        table = make_table(np.array([[1.0], [0.5], [0.2]]),
+        # two positive samples and a TV-zero row: no interior sample is left
+        table = make_table(np.array([[1.0], [0.5], [0.0]]),
                            alphas=np.array([1.0, 10.0, 100.0]), resolutions=(32,))
         with pytest.raises(NoSelectionError):
             tv.select_lcurve(table, 32)
+
+    def test_three_samples_left_by_tv_zero_rows(self):
+        # the toy benchmark's n=16 column: rows 10 and 100 are above the
+        # constant-image bound, and the one interior sample is a convex corner
+        table = make_table(
+            np.array([[2.454], [1.940], [1.166], [0.0], [0.0]]),
+            alphas=10.0 ** np.arange(-2.0, 3.0), resolutions=(16,),
+            residual=np.array([[0.298], [0.344], [0.973], [2.237], [2.237]]),
+        )
+        alpha, diag = tv.select_lcurve(table, 16)
+        assert alpha == 0.1
+        assert diag["curvature"][1] > 0
+        assert list(diag["alphas"]) == [0.01, 0.1, 1.0]
 
 
 class TestRunSweep:
