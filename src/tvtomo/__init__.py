@@ -34,7 +34,6 @@ from .fileio import (
     write_diagnostics_csv,
     write_image,
     write_pgm,
-    write_phantom_file,
     write_sinogram,
     write_sinogram_csv,
     write_sweep_csv,

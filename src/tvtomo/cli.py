@@ -80,8 +80,13 @@ def _from_args(cls, section, args):
 def _comma_list(cast):
     """argparse type for comma-separated ``cast`` values; a bad one is a usage error."""
     parse = lambda text: [cast(x) for x in text.split(",")]
-    parse.__name__ = f"comma-separated {cast.__name__}"  # argparse names it in the error
+    parse.__name__ = f"comma-separated {cast.__name__.lstrip('_')}"  # argparse's error names it
     return parse
+
+
+def _pair(text):
+    x, y = text.split(":")
+    return float(x), float(y)
 
 
 def _add_solver_flags(p):
@@ -109,8 +114,8 @@ def _build_parser():
     p.add_argument("--kind", choices=["disc", "shells", "polygon"], default="disc")
     p.add_argument("--r", type=float, default=0.25)
     p.add_argument("--value", type=float, default=1.0)
-    p.add_argument("--shells", help="r1:v1,r2:v2,... (radii decreasing)")
-    p.add_argument("--vertices", help="x1:y1,x2:y2,... polygon vertices")
+    p.add_argument("--shells", type=_comma_list(_pair), help="r1:v1,r2:v2,... (radii decreasing)")
+    p.add_argument("--vertices", type=_comma_list(_pair), help="x1:y1,x2:y2,... polygon vertices")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--name", default="phantom")
 
@@ -165,17 +170,16 @@ def _cmd_phantom(args):
     elif args.kind == "shells":
         if not args.shells:
             raise FormatError("--shells required for kind=shells")
-        phantom = Phantom.nested_shells(fileio.parse_pairs(args.shells))
+        phantom = Phantom.nested_shells(args.shells)
     else:
         if not args.vertices:
             raise FormatError("--vertices required for kind=polygon")
-        phantom = Phantom.polygon(fileio.parse_pairs(args.vertices), value=args.value)
+        phantom = Phantom.polygon(args.vertices, value=args.value)
     img = render_phantom(phantom, args.n)
     tv = tv_norm(img)  # refuses n = 1 before anything is written
     img_path = _out(args, f"{args.name}.img")
     fileio.write_image(img_path, img)
     fileio.write_pgm(_out(args, f"{args.name}.pgm"), img)
-    fileio.write_phantom_file(_out(args, f"{args.name}.phantom"), phantom)
     _write_manifest(args, {
         "phantom.kind": phantom.kind, "phantom.n": args.n,
         "output.image": img_path, "output.tv_norm": repr(tv),

@@ -23,8 +23,7 @@ __all__ = [
     "write_sinogram_csv", "read_sinogram_csv",
     "write_sweep_csv", "read_sweep_csv",
     "write_curve_csv", "write_diagnostics_csv",
-    "write_phantom_file",
-    "read_config", "write_config", "parse_pairs",
+    "read_config", "write_config",
 ]
 
 _IMG_MAGIC = b"TVTOMO-IMG"
@@ -109,8 +108,6 @@ def write_pgm(path, img):
 def write_sinogram(path, s):
     """Raw sinogram: 'TVTOMO-SINO <angles> <detectors>' + angle-major LE f64."""
     geom = s.geometry
-    if geom is None:
-        raise FormatError("sinogram without geometry cannot be written in raw format")
     _write_raw(path, _SINO_MAGIC, [geom.num_angles, geom.num_detector_pixels], s.data)
 
 
@@ -227,36 +224,6 @@ def write_diagnostics_csv(path, diagnostics):
             w.writerow(list(arrays))
             for row in zip(*[a.ravel() for a in arrays.values()]):
                 w.writerow([repr(float(v)) if np.isreal(v) else v for v in row])
-
-
-def write_phantom_file(path, phantom):
-    """Flat key-value phantom description (kind=disc, r=0.25, ...)."""
-    lines = [f"kind={phantom.kind}"]
-    p = phantom.params
-    if phantom.kind == "disc":
-        lines += [f"r={p['r']!r}", f"value={p['value']!r}",
-                  f"cx={p['center'][0]!r}", f"cy={p['center'][1]!r}"]
-    elif phantom.kind == "nested-shells":
-        shells = ",".join(f"{r!r}:{v!r}" for r, v in p["shells"])
-        cx, cy = p["center"]
-        lines += [f"shells={shells}", f"cx={cx!r}", f"cy={cy!r}"]
-    elif phantom.kind == "piecewise-polygon":
-        verts = ",".join(f"{x!r}:{y!r}" for x, y in p["vertices"])
-        lines += [f"vertices={verts}", f"value={p['value']!r}"]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def parse_pairs(text):
-    """Parse ``x1:y1,x2:y2,...`` into a list of float pairs."""
-    pairs = []
-    for part in text.split(","):
-        try:
-            x, y = (float(v) for v in part.split(":"))
-        except ValueError as exc:
-            raise FormatError(f"expected a number pair x:y, got {part!r}") from exc
-        pairs.append((x, y))
-    return pairs
 
 
 def read_config(path):

@@ -144,7 +144,7 @@ class Sinogram:
 
     def __post_init__(self):
         d = np.asarray(self.data, dtype=float).ravel()
-        if self.geometry is not None and d.size != self.geometry.num_rays:
+        if d.size != self.geometry.num_rays:
             raise ShapeMismatchError(
                 f"sinogram length {d.size} != M={self.geometry.num_rays}"
             )

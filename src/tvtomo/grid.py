@@ -51,7 +51,7 @@ class ImageGrid:
         """Build from an (n, n) array indexed [row, col]."""
         mat = np.asarray(mat, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ShapeMismatchError(f"expected a square matrix, got shape {mat.shape})")
+            raise ShapeMismatchError(f"expected a square matrix, got shape {mat.shape}")
         return cls(mat.shape[0], mat.ravel(order="F"))
 
     def to_matrix(self):

@@ -36,11 +36,7 @@ class Phantom:
     def disc(cls, r=0.25, value=1.0, center=(0.5, 0.5)):
         """A nested-shells phantom with one shell, kept as kind "disc"."""
         shell = cls.nested_shells([(r, value)], center)
-        return cls(
-            kind="disc",
-            params={"r": float(r), "value": float(value), "center": shell.params["center"]},
-            analytic_tv=shell.analytic_tv,
-        )
+        return cls(kind="disc", params=shell.params, analytic_tv=shell.analytic_tv)
 
     @classmethod
     def nested_shells(cls, shells, center=(0.5, 0.5)):
@@ -112,12 +108,10 @@ def render_phantom(p, n):
     x = np.broadcast_to(centers[None, :], (n, n))
 
     if p.kind in ("disc", "nested-shells"):
-        shells = (p.params["shells"] if p.kind == "nested-shells"
-                  else [(p.params["r"], p.params["value"])])
         cx, cy = p.params["center"]
         dist2 = (x - cx) ** 2 + (y - cy) ** 2
         mat = np.zeros((n, n))
-        for r, v in shells:  # radii decreasing: innermost wins
+        for r, v in p.params["shells"]:  # radii decreasing: innermost wins
             mat = np.where(dist2 < r * r, v, mat)
         return ImageGrid.from_matrix(mat)
     # piecewise-polygon

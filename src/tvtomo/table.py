@@ -73,7 +73,7 @@ class SweepTable:
         return self.resolutions.index(n)
 
     def require_complete(self, cols=slice(None)):
-        bad = np.isnan(self.tv) | (self.status != "converged")
+        bad = np.isnan(self.tv) | np.isnan(self.residual) | (self.status != "converged")
         if np.any(bad[:, cols]):
             raise NoSelectionError(
                 "sweep table has absent or not-converged cells in the requested range",

@@ -26,8 +26,6 @@ class TestPhantomCommand:
                    "--shells", "0.375:1.0,0.25:2.0", "--n", "64", "--name", "sh")
         assert code == 0
         img = tv.read_image(tmp_path / "sh.img")
-        assert (tmp_path / "sh.phantom").read_text() == (
-            "kind=nested-shells\nshells=0.375:1.0,0.25:2.0\ncx=0.5\ncy=0.5\n")
         phantom = tv.Phantom.nested_shells([(0.375, 1.0), (0.25, 2.0)])
         assert tv.tv_norm(img) == pytest.approx(phantom.analytic_tv, abs=1e-12)
 
@@ -242,6 +240,9 @@ class TestConfigMerging:
         geometry = ["--angles", "12", "--detectors", "12"]
         cases = [
             ["phantom", "--n", "8", "--kind", "shells", "--shells", "0.3:x"],
+            ["phantom", "--n", "8", "--kind", "shells"],
+            ["phantom", "--n", "8", "--kind", "polygon"],
+            ["phantom", "--n", "8", "--kind", "shells", "--shells", "0.2:1,0.3:2"],
             ["phantom", "--n", "8", "--kind", "polygon", "--vertices", "0.2:0.2,0.8"],
             ["phantom", "--n", "8", "--kind", "polygon", "--vertices",
              "nan:0.5,0.5:0.2,0.7:0.7"],
@@ -301,6 +302,16 @@ class TestSweepTableInput:
         path = tmp_path / "sweep.csv"
         tv.write_sweep_csv(path, table)
         assert run(tmp_path, "select", "--table", str(path), "--method", "multires") == 4
+
+    def test_nan_residual_is_not_selected(self, tmp_path):
+        # every row converged; without the NaN row the L-curve still has a corner
+        rows = [f"{a!r},8,{t!r},{r},10,converged\n" for a, t, r in [
+            (0.01, 10.0, 0.01), (0.1, 9.0, 0.011), (1.0, 1.0, "nan"), (10.0, 0.9, 1.0),
+            (100.0, 0.8, 10.0)]]
+        path = tmp_path / "sweep.csv"
+        path.write_text("alpha,n,tv,residual,iterations,status\n" + "".join(rows))
+        for method in ("lcurve", "multires"):
+            assert run(tmp_path, "select", "--table", str(path), "--method", method) == 4
 
     def test_malformed_table_is_usage_error(self, tmp_path):
         path = tmp_path / "sweep.csv"

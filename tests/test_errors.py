@@ -7,6 +7,7 @@ from tvtomo.errors import (
     InvalidDimensionError,
     InvalidGeometryError,
     ParameterError,
+    ShapeMismatchError,
     check_count,
     check_real,
 )
@@ -48,11 +49,28 @@ G = tv.forward_project(A, tv.render_phantom(tv.Phantom.disc(r=0.25), 4))
     (ParameterError, lambda: tv.build_qp(A, G, "1")),
     (DegeneratePriorError, lambda: tv.SCurvePrior(s_hat=np.nan)),
     (DegeneratePriorError, lambda: tv.SCurvePrior(s_hat=np.inf)),
+    (InvalidGeometryError, lambda: tv.ScanGeometry(mode="cone")),
+    (InvalidGeometryError, lambda: tv.ScanGeometry(num_angles=4, angles=np.zeros(3))),
+    (ShapeMismatchError, lambda: tv.Sinogram(GEOM, np.zeros(5))),
+    (ShapeMismatchError, lambda: tv.Sinogram(GEOM, np.full(GEOM.num_rays, np.nan))),
+    (ParameterError, lambda: tv.Phantom.nested_shells([(0.2, 1.0), (0.3, 2.0)])),
+    (ParameterError, lambda: tv.Phantom.nested_shells([(0.6, 1.0)])),
+    (ParameterError, lambda: tv.Phantom.polygon([(0.2, 0.2), (0.8, 0.8)])),
+    (ShapeMismatchError, lambda: tv.build_qp(
+        A, tv.Sinogram(tv.ScanGeometry(num_angles=1, num_detector_pixels=5), np.zeros(5)), 1.0)),
+    (ShapeMismatchError, lambda: tv.SweepTable([1.0], [8], np.ones((2, 1)), np.ones((1, 1)))),
+    (ShapeMismatchError, lambda: tv.SweepTable([0.0, 1.0], [8], np.ones((2, 1)),
+                                               np.ones((2, 1)))),
+    (ShapeMismatchError, lambda: tv.SweepTable([1.0, 0.1], [8], np.ones((2, 1)),
+                                               np.ones((2, 1)))),
 ], ids=["extent-str", "fan-radius-str",
         "assemble-n-float", "grid-n-float", "operators-n-float", "average-n-float",
         "upsample-n-float", "upsample-n-negative",
         "disc-r-str", "disc-center-str", "shells-value-str", "polygon-value-str",
-        "render-n-float", "qp-alpha-str", "s_hat-nan", "s_hat-inf"])
+        "render-n-float", "qp-alpha-str", "s_hat-nan", "s_hat-inf",
+        "mode-unknown", "angles-count", "sinogram-length", "sinogram-nan",
+        "shells-increasing", "shells-outside", "polygon-two-vertices", "qp-data-length",
+        "table-shape", "table-alpha-zero", "table-alphas-descending"])
 def test_bad_scalar_raises_its_class(error, call):
     with pytest.raises(error):
         call()

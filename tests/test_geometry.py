@@ -345,5 +345,6 @@ class TestProjection:
         A = tv.assemble_system_matrix(small_geom, 8)
         with pytest.raises(ShapeMismatchError):
             tv.forward_project(A, tv.ImageGrid(4, np.zeros(16)))
+        five_rays = tv.ScanGeometry(num_angles=1, num_detector_pixels=5)
         with pytest.raises(ShapeMismatchError):
-            tv.adjoint_project(A, tv.Sinogram(None, np.zeros(5)))
+            tv.adjoint_project(A, tv.Sinogram(five_rays, np.zeros(5)))

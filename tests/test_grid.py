@@ -154,6 +154,8 @@ class TestImageGrid:
     def test_rejects_bad_length(self):
         with pytest.raises(ShapeMismatchError):
             tv.ImageGrid(3, np.zeros(8))
+        with pytest.raises(ShapeMismatchError, match=r"got shape \(3, 4\)$"):
+            tv.ImageGrid.from_matrix(np.zeros((3, 4)))
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ShapeMismatchError):

@@ -110,6 +110,16 @@ class TestMultiResolution:
         with pytest.raises(NoSelectionError):
             tv.select_multiresolution(table)
 
+    def test_nan_residual_rejected(self):
+        residual = np.ones_like(TV_LOW_NOISE)
+        residual[3, 1] = np.nan
+        table = make_table(TV_LOW_NOISE, residual=residual)
+        assert table.status[3, 1] == "converged"
+        with pytest.raises(NoSelectionError):
+            tv.select_multiresolution(table)
+        with pytest.raises(NoSelectionError):
+            tv.select_lcurve(table, 64)
+
 
 class TestSHatEstimate:
     def setup_method(self):
