@@ -45,7 +45,6 @@ from .geometry import (
     adjoint_project,
     assemble_system_matrix,
     forward_project,
-    trace_ray,
 )
 from .grid import (
     DifferenceOperators,
@@ -61,7 +60,6 @@ from .pdip import (
     SolverConfig,
     pdip_solve,
     reconstruct,
-    solve_newton_system,
 )
 from .phantoms import NoiseSpec, Phantom, add_noise, render_phantom
 from .qp import QpProblem, build_qp

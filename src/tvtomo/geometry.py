@@ -5,17 +5,17 @@ attenuation image along one ray.  Rays are traced through the pixel lattice
 of [0,1]^2 with Siddon's parametric traversal, and the system matrix
 collects the exact ray/pixel intersection lengths.
 
-`trace_ray` traces one ray.  `assemble_system_matrix` traces a batch of
-rays at once with array operations: each ray's row holds its clipped span
-and the crossings of every grid line, the crossings outside the span are
-set to inf, and a sort and a difference per row give the segments.  Rays
-go in batches of at most `_CHUNK_ENTRIES` crossing slots, so memory stays
-bounded for any geometry.  Batches run on one thread per usable CPU (at
-most one per batch), independent of the BLAS thread variables: assembly
-calls no BLAS, and numpy's array kernels and scipy's sparse routines
-release the GIL.  Each thread sorts and merges its own batch's rows, and
-the batches are stacked in angle-major order with segments in increasing
-t, so the matrix is the same, bit for bit, as stacking `trace_ray` rows.
+`assemble_system_matrix` traces rays in batches with array operations:
+each ray's row holds its clipped span and the crossings of every grid line,
+the crossings outside the span are set to inf, and a sort and a difference
+per row give the segments.  Rays go in batches of at most `_CHUNK_ENTRIES`
+crossing slots, so memory stays bounded for any geometry.  Batches run on
+one thread per usable CPU (at most one per batch), independent of the BLAS
+thread variables: assembly calls no BLAS, and numpy's array kernels and
+scipy's sparse routines release the GIL.  Each thread sorts and merges its
+own batch's rows, and the batches are stacked in angle-major order with
+segments in increasing t, so the matrix does not depend on the batch size
+or the thread count.
 """
 
 import os
@@ -33,7 +33,6 @@ __all__ = [
     "ScanGeometry",
     "SparseSystemMatrix",
     "Sinogram",
-    "trace_ray",
     "assemble_system_matrix",
     "forward_project",
     "adjoint_project",
@@ -130,10 +129,6 @@ class SparseSystemMatrix:
     n: int
     matrix: sp.csr_matrix = field(repr=False)
 
-    @property
-    def shape(self):
-        return self.matrix.shape
-
 
 @dataclass(frozen=True)
 class Sinogram:
@@ -173,53 +168,13 @@ def clip_to_unit_square(origin, direction):
     return t0, t1
 
 
-def trace_ray(origin, direction, n):
-    """Intersection lengths of one ray with the n x n pixel lattice.
-
-    Returns (indices, lengths): column-major pixel indices and the exact
-    chord lengths inside each crossed pixel.  Both arrays are empty when
-    the ray misses the unit square.
-    """
-    origin = np.asarray(origin, dtype=float)
-    direction = np.asarray(direction, dtype=float)
-    norm = np.hypot(direction[0], direction[1])
-    if norm == 0.0 or not np.all(np.isfinite(direction)):
-        raise InvalidGeometryError("ray direction must be a nonzero finite vector")
-    d = direction / norm
-
-    span = clip_to_unit_square(origin, d)
-    if span is None:
-        return np.empty(0, dtype=np.int64), np.empty(0)
-    t0, t1 = span
-
-    # all parameter values where the ray crosses a grid line
-    ts = [np.array([t0, t1])]
-    for k in range(2):
-        if d[k] != 0.0:
-            planes = np.arange(n + 1) / n
-            tk = (planes - origin[k]) / d[k]
-            ts.append(tk[(tk > t0) & (tk < t1)])
-    ts = np.unique(np.concatenate(ts))
-
-    lengths = np.diff(ts)
-    keep = lengths > 1e-15
-    if not np.any(keep):
-        return np.empty(0, dtype=np.int64), np.empty(0)
-    mids = origin[None, :] + (0.5 * (ts[:-1] + ts[1:]))[:, None] * d[None, :]
-    mids = mids[keep]
-    lengths = lengths[keep]
-
-    cols = np.clip((mids[:, 0] * n).astype(np.int64), 0, n - 1)
-    rows = np.clip((mids[:, 1] * n).astype(np.int64), 0, n - 1)
-    return rows + n * cols, lengths
-
-
 def _trace_rays(origins, directions, n):
-    """trace_ray for a batch of rays, shaped (R, 2), with array operations.
+    """Siddon traversal of a batch of rays, shaped (R, 2), with array operations.
 
     Returns (counts, indices, lengths): the number of kept segments of each
-    ray, then the segments ray by ray in increasing t.  The arithmetic is
-    trace_ray's, so the values are identical to its.
+    ray, then the segments ray by ray in increasing t, each with its
+    column-major pixel index and its exact chord length in that pixel.
+    Segments shorter than 1e-15 are dropped.
     """
     norm = np.hypot(directions[:, 0], directions[:, 1])
     if not (np.all(norm > 0.0) and np.all(np.isfinite(directions))):

@@ -63,7 +63,6 @@ class ImageGrid:
 class DifferenceOperators:
     """Periodic horizontal/vertical difference matrices for one grid size."""
 
-    n: int
     d_h: sp.csr_matrix = field(repr=False)
     d_v: sp.csr_matrix = field(repr=False)
 
@@ -93,7 +92,7 @@ def build_difference_operators(n):
     cols_v = np.column_stack([rc + n * cc, (rc + 1) % n + n * cc]).ravel()
     d_v = sp.csr_matrix((data, (rows, cols_v)), shape=(N, N))
 
-    return DifferenceOperators(n=n, d_h=d_h, d_v=d_v)
+    return DifferenceOperators(d_h=d_h, d_v=d_v)
 
 
 def tv_norm(f):

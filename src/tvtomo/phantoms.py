@@ -17,7 +17,9 @@ from .grid import ImageGrid
 
 __all__ = ["Phantom", "NoiseSpec", "render_phantom", "add_noise"]
 
-_KINDS = ("disc", "nested-shells", "piecewise-polygon")
+# each kind and the keys of its params; a disc is a one-shell nested-shells
+_KINDS = {"disc": {"shells", "center"}, "nested-shells": {"shells", "center"},
+          "piecewise-polygon": {"vertices", "value"}}
 
 
 @dataclass(frozen=True)
@@ -31,6 +33,11 @@ class Phantom:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ParameterError(f"unknown phantom kind {self.kind!r}")
+        keys = _KINDS[self.kind]
+        if set(self.params) != keys:
+            raise ParameterError(
+                f"a {self.kind} phantom takes params {sorted(keys)}, got {list(self.params)}"
+            )
 
     @classmethod
     def disc(cls, r=0.25, value=1.0, center=(0.5, 0.5)):

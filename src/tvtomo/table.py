@@ -39,6 +39,10 @@ class SweepTable:
             raise ShapeMismatchError(
                 f"table arrays must have shape {shape}, got {self.tv.shape}/{self.residual.shape}"
             )
+        for name, values in (("tv", self.tv), ("residual", self.residual)):
+            # NaN marks a failed or absent cell
+            if np.any(np.isinf(values) | (values < 0)):
+                raise ShapeMismatchError(f"{name} values must be finite and >= 0, or NaN")
         if np.any(self.alphas <= 0):
             raise ShapeMismatchError("alphas must be positive")
         if np.any(np.diff(self.alphas) <= 0):
@@ -60,12 +64,13 @@ class SweepTable:
         alphas = sorted({a for a, _ in cells})
         resolutions = sorted({n for _, n in cells})
         shape = (len(alphas), len(resolutions))
-        # all-NaN arrays: every cell starts absent with 0 iterations
-        table = cls(alphas, resolutions, tv=np.full(shape, np.nan), residual=np.full(shape, np.nan))
+        tv, residual = np.full(shape, np.nan), np.full(shape, np.nan)
+        iterations, status = np.zeros(shape, dtype=int), np.full(shape, "absent", dtype=object)
         for (alpha, n), cell in cells.items():
             ij = alphas.index(alpha), resolutions.index(n)
-            table.tv[ij], table.residual[ij], table.iterations[ij], table.status[ij] = cell
-        return table
+            tv[ij], residual[ij], iterations[ij], status[ij] = cell
+        # built last, so __post_init__ checks the cells' values too
+        return cls(alphas, resolutions, tv, residual, iterations, status)
 
     def column(self, n):
         if n not in self.resolutions:

@@ -63,6 +63,21 @@ G = tv.forward_project(A, tv.render_phantom(tv.Phantom.disc(r=0.25), 4))
                                                np.ones((2, 1)))),
     (ShapeMismatchError, lambda: tv.SweepTable([1.0, 0.1], [8], np.ones((2, 1)),
                                                np.ones((2, 1)))),
+    (ShapeMismatchError, lambda: tv.SweepTable([0.1, 1.0], [8], [[1.0], [np.inf]],
+                                               np.ones((2, 1)))),
+    (ShapeMismatchError, lambda: tv.SweepTable([0.1, 1.0], [8], [[1.0], [-1.0]],
+                                               np.ones((2, 1)))),
+    (ShapeMismatchError, lambda: tv.SweepTable([0.1, 1.0], [8], np.ones((2, 1)),
+                                               [[1.0], [np.inf]])),
+    (ShapeMismatchError, lambda: tv.SweepTable([0.1, 1.0], [8], np.ones((2, 1)),
+                                               [[-np.inf], [1.0]])),
+    (ShapeMismatchError, lambda: tv.SweepTable.from_cells(
+        {(1.0, 8): (np.inf, 1.0, 3, "converged")})),
+    (ParameterError, lambda: tv.Phantom(kind="disc")),
+    (ParameterError, lambda: tv.Phantom(kind="nested-shells", params={"shells": [(0.3, 1.0)]})),
+    (ParameterError, lambda: tv.Phantom(kind="piecewise-polygon")),
+    (ParameterError, lambda: tv.Phantom(kind="disc", params=tv.Phantom.polygon(
+        [(0.2, 0.2), (0.8, 0.2), (0.5, 0.8)]).params)),
 ], ids=["extent-str", "fan-radius-str",
         "assemble-n-float", "grid-n-float", "operators-n-float", "average-n-float",
         "upsample-n-float", "upsample-n-negative",
@@ -70,7 +85,11 @@ G = tv.forward_project(A, tv.render_phantom(tv.Phantom.disc(r=0.25), 4))
         "render-n-float", "qp-alpha-str", "s_hat-nan", "s_hat-inf",
         "mode-unknown", "angles-count", "sinogram-length", "sinogram-nan",
         "shells-increasing", "shells-outside", "polygon-two-vertices", "qp-data-length",
-        "table-shape", "table-alpha-zero", "table-alphas-descending"])
+        "table-shape", "table-alpha-zero", "table-alphas-descending",
+        "table-tv-inf", "table-tv-negative", "table-residual-inf", "table-residual-negative",
+        "table-from-cells-tv-inf",
+        "phantom-disc-no-params", "phantom-shells-no-center", "phantom-polygon-no-params",
+        "phantom-disc-polygon-params"])
 def test_bad_scalar_raises_its_class(error, call):
     with pytest.raises(error):
         call()

@@ -10,10 +10,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import tvtomo as tv
+from tvtomo import pdip
 from tvtomo.errors import ParameterError, SolverFailureError
 from tvtomo.pdip import (
     _TOL,
     _constant_image_certificate,
+    _newton_builder,
     _solve_periodic_poisson,
     _step_to_boundary,
 )
@@ -93,14 +95,18 @@ def assemble_full_kkt(problem, z, x_tilde):
     return K
 
 
+def newton_step(problem, z, x_tilde, p1, p2, p3):
+    """(dz, dy, dx~) of the reduced KKT system at (z, x~), as pdip_solve takes it."""
+    return _newton_builder(problem)(z, x_tilde).solve(p1, p2, p3)
+
+
 class TestNewtonSystem:
     def test_diagonal_no_equalities_closed_form(self, rng):
         # Q = 0, B empty, barrier diag = 1: the reduced system is
         # -dz = p1 - p3 and dx = p3 - dz
         problem = tv.GenericQp(Q=np.zeros((5, 5)), c=rng.normal(size=5))
         p1, p3 = rng.normal(size=5), rng.normal(size=5)
-        dz, dy, dx = tv.solve_newton_system(problem, np.ones(5), np.ones(5),
-                                            (p1, np.zeros(0), p3))
+        dz, dy, dx = newton_step(problem, np.ones(5), np.ones(5), p1, np.zeros(0), p3)
         assert np.allclose(dz, -(p1 - p3), atol=1e-12)
         assert np.allclose(dx, p3 - dz, atol=1e-12)
         assert dy.size == 0
@@ -110,7 +116,7 @@ class TestNewtonSystem:
         nz, ny = problem.z_dim, problem.y_dim
         z, x_tilde = rng.uniform(0.5, 2.0, nz), rng.uniform(0.5, 2.0, nz)
         p1, p2, p3 = rng.normal(size=nz), rng.normal(size=ny), rng.normal(size=nz)
-        dz, dy, dx = tv.solve_newton_system(problem, z, x_tilde, (p1, p2, p3))
+        dz, dy, dx = newton_step(problem, z, x_tilde, p1, p2, p3)
         K = assemble_full_kkt(problem, z, x_tilde)
         sol = np.concatenate([dz, dy, dx])
         rhs = np.concatenate([p1, p2, p3])
@@ -133,7 +139,7 @@ class TestNewtonSystem:
         p1 = c + Q @ z - B.T @ y - x_tilde
         p2 = b - B @ z
         p3 = -z
-        dz, dy, dx = tv.solve_newton_system(problem, z, x_tilde, (p1, p2, p3))
+        dz, dy, dx = newton_step(problem, z, x_tilde, p1, p2, p3)
         z_next = z + dz
         assert np.allclose(z_next, [0.5, 0.5], atol=1e-7)
 
@@ -187,35 +193,40 @@ class TestPdipSolve:
         assert np.all(np.isfinite(img.values))
         assert np.all(img.values >= 0)
 
+    def test_singular_newton_system_fails_with_report(self):
+        # two identical equality rows: the reduced saddle matrix is singular
+        problem = tv.GenericQp(Q=np.eye(2), c=np.array([-1.0, -1.0]),
+                               B=np.array([[1.0, 1.0], [1.0, 1.0]]), b=np.array([1.0, 1.0]))
+        with pytest.raises(SolverFailureError, match="singular") as info:
+            tv.pdip_solve(problem)
+        assert info.value.report.reason == "solver_failure"
+
     def test_step_to_boundary(self):
         assert _step_to_boundary(np.array([1.0, 1.0]), np.array([1.0, 1.0])) == np.inf
         assert _step_to_boundary(np.array([1.0, 2.0]), np.array([-2.0, -1.0])) == 0.5
 
 
 class TestReconstruct:
-    def test_cg_cap_hit_fails_with_report(self, small_geom):
+    def test_cg_cap_hit_fails_with_report(self, small_geom, monkeypatch):
         A = tv.assemble_system_matrix(small_geom, 8)
         g = tv.forward_project(A, tv.render_phantom(tv.Phantom.disc(r=0.3), 8))
-        config = tv.SolverConfig(cg_max_iterations=1)
+        monkeypatch.setattr(pdip, "_CG_MAX_ITERATIONS", 1)
         with pytest.warns(UserWarning, match=r"inner CG hit the iteration cap \(1\)"):
             with pytest.raises(SolverFailureError) as info:
-                tv.reconstruct(A, g, 0.1, config=config)
+                tv.reconstruct(A, g, 0.1)
         assert info.value.residual is not None
         assert info.value.report.reason == "solver_failure"
 
-    @pytest.mark.parametrize("caps", [
-        dict(max_iterations=2.5), dict(max_iterations=10.0),
-        dict(cg_max_iterations=float("nan")), dict(cg_max_iterations="5"),
-        dict(max_iterations=True), dict(cg_max_iterations=np.True_),
-    ], ids=["outer-2.5", "outer-10.0", "cg-nan", "cg-str", "outer-bool", "cg-np.bool"])
-    def test_non_integer_iteration_caps_rejected(self, caps):
+    @pytest.mark.parametrize("cap", [2.5, 10.0, float("nan"), "5", True, np.True_], ids=[
+        "outer-2.5", "outer-10.0", "outer-nan", "outer-str", "outer-bool", "outer-np.bool"])
+    def test_non_integer_iteration_caps_rejected(self, cap):
         with pytest.raises(ParameterError, match="integers"):
-            tv.SolverConfig(**caps)
+            tv.SolverConfig(max_iterations=cap)
 
     def test_numpy_integer_iteration_caps_accepted(self, small_geom):
         A = tv.assemble_system_matrix(small_geom, 8)
         g = tv.forward_project(A, tv.render_phantom(tv.Phantom.disc(r=0.3), 8))
-        config = tv.SolverConfig(max_iterations=np.int64(3), cg_max_iterations=np.int32(2000))
+        config = tv.SolverConfig(max_iterations=np.int64(3))
         _, report = tv.reconstruct(A, g, 0.1, config=config)
         assert (report.iterations, report.reason) == (3, "max_iterations")
 
@@ -240,16 +251,16 @@ class TestReconstruct:
         g = tv.forward_project(A, tv.render_phantom(tv.Phantom.disc(r=0.3), 8))
         factors = self.record_calls(monkeypatch, "splu")
         cg_calls = self.record_calls(monkeypatch, "cg")
-        config = tv.SolverConfig(cg_max_iterations=cap)
+        monkeypatch.setattr(pdip, "_CG_MAX_ITERATIONS", cap)
         if reason == "converged":
-            _, report = tv.reconstruct(A, g, 0.1, config=config)
+            _, report = tv.reconstruct(A, g, 0.1)
             # the last iterate only checks convergence and solves nothing
             solved = report.iterations
             rows = report.iterations + 1
         else:
             with pytest.warns(UserWarning, match=r"inner CG hit the iteration cap"):
                 with pytest.raises(SolverFailureError) as info:
-                    tv.reconstruct(A, g, 0.1, config=config)
+                    tv.reconstruct(A, g, 0.1)
             report = info.value.report
             assert report.iterations >= 1  # fails after a completed step
             # the failing iterate factors and solves, but adds no row
@@ -407,7 +418,7 @@ class TestConstantImageClosedForm:
         elif data == "negative-data":
             g = tv.Sinogram(small_geom, -g.data)
         else:  # every ray misses: A 1 = 0, so c* is undefined
-            A = tv.SparseSystemMatrix(small_geom, 4, sp.csr_matrix(A.shape))
+            A = tv.SparseSystemMatrix(small_geom, 4, sp.csr_matrix(A.matrix.shape))
         problem = tv.build_qp(A, g, 1e3)
         c_star, bound, _ = _constant_image_certificate(problem)
         assert c_star <= 0 and bound == np.inf

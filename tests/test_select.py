@@ -182,6 +182,9 @@ class TestSCurve:
             tv.select_scurve(table, tv.SCurvePrior(s_hat=9.0), 32)
         with pytest.raises(OutOfRangeError):
             tv.select_scurve(table, tv.SCurvePrior(s_hat=0.1), 32)
+        rising = make_table([[1.0], [3.0]], alphas=np.array([1.0, 10.0]), resolutions=(32,))
+        with pytest.raises(OutOfRangeError, match="not monotone"):
+            tv.select_scurve(rising, tv.SCurvePrior(s_hat=2.0), 32)
 
     def test_duplicate_hits_take_smallest_alpha(self):
         tv_col = np.array([5.0, 2.0, 2.0, 0.5])
@@ -307,25 +310,25 @@ class TestRunSweep:
         # larger alpha never increases TV within a column
         assert np.all(table.tv[1] <= table.tv[0] + 1e-8)
 
-    def test_parallel_sweep_matches_serial(self, small_geom, tmp_path, cpu_set):
+    def test_parallel_sweep_matches_serial(self, small_geom, tmp_path, cpu_set, monkeypatch):
         phantom = tv.render_phantom(tv.Phantom.disc(r=0.3), 16)
         g = tv.forward_project(tv.assemble_system_matrix(small_geom, 16), phantom)
         converging = dict(alphas=[0.01, 0.1, 1.0], resolutions=[8, 16])
+        failing = dict(alphas=[0.01, 1.0], resolutions=[2, 4])
+        serial, parallel = [], []
+        for cpus, tables in ((1, serial), (2, parallel)):
+            cpu_set(cpus)
+            tables.append(tv.run_sweep(small_geom, g, **converging))
         # CG capped at one iteration: the n=4 cells fail, while the n=2 cells,
-        # above the TV-zero bound, take the closed form
-        failing = dict(alphas=[0.01, 1.0], resolutions=[2, 4],
-                       config=tv.SolverConfig(cg_max_iterations=1))
-        cpu_set(1)
-        serial = [tv.run_sweep(small_geom, g, **converging)]
-        with pytest.warns(UserWarning, match=r"inner CG hit the iteration cap \(1\)"):
-            serial.append(tv.run_sweep(small_geom, g, **failing))
+        # above the TV-zero bound, take the closed form; forked workers inherit the cap
+        monkeypatch.setattr(tv.pdip, "_CG_MAX_ITERATIONS", 1)
+        for cpus, tables in ((1, serial), (2, parallel)):
+            cpu_set(cpus)
+            with pytest.warns(UserWarning, match=r"inner CG hit the iteration cap \(1\)"):
+                tables.append(tv.run_sweep(small_geom, g, **failing))
         assert list(serial[1].status[:, 1]) == ["solver_failure"] * 2
         assert list(serial[1].status[:, 0]) == ["converged"] * 2
         assert np.all(serial[1].tv[:, 0] == 0) and np.all(serial[1].iterations[:, 0] == 0)
-        cpu_set(2)
-        with pytest.warns(UserWarning, match=r"inner CG hit the iteration cap \(1\)"):
-            parallel = [tv.run_sweep(small_geom, g, **converging),
-                        tv.run_sweep(small_geom, g, **failing)]
         for grid, table, par in zip((converging, failing), serial, parallel):
             path = tmp_path / "sweep.csv"
             tv.write_sweep_csv(path, table)
@@ -402,11 +405,11 @@ class TestRunSweep:
         tv.run_sweep(small_geom, g, alphas=[0.1, 1.0], resolutions=[2, 3])
         assert pool_calls == []
 
-    def test_worker_warnings_reach_the_caller(self, small_geom, cpu_set):
+    def test_worker_warnings_reach_the_caller(self, small_geom, cpu_set, monkeypatch):
         g = tv.forward_project(tv.assemble_system_matrix(small_geom, 4),
                                tv.render_phantom(tv.Phantom.disc(r=0.3), 4))
-        failing = dict(alphas=[0.01, 1.0], resolutions=[2, 4],
-                       config=tv.SolverConfig(cg_max_iterations=1))
+        failing = dict(alphas=[0.01, 1.0], resolutions=[2, 4])
+        monkeypatch.setattr(tv.pdip, "_CG_MAX_ITERATIONS", 1)
         seen = []
         for cpus in (1, 2):
             cpu_set(cpus)
