@@ -22,10 +22,12 @@ iterations), preconditioned by an exact splu factorization of the banded
 part G + diag(A^T A), with A^T A applied matrix-free as f -> A^T (A f).
 G + diag(A^T A) is symmetric, so splu orders its columns by minimum degree
 on A^T+A (MMD_AT_PLUS_A), which fills about half as much as the default
-COLAMD.  `_TvNewton` factors G + diag(A^T A) once per iterate and runs both
-CG solves of that iterate; diag(A^T A) and the view A^T are built once per
-solve.  The corrector step must solve the reduced system to a relative
-residual of 1e-6, or the solve fails with SolverFailureError.
+COLAMD.  `_tv_newton` builds A^T and diag(A^T A) once per solve; its
+factor(d) factors G + diag(A^T A) once per iterate and returns the
+solve(r1, p2) -> (dz, dy) that both solves of the iterate share, and
+`_newton_step` wraps each in the barrier algebra with d = x~/z.  The
+corrector step must solve the reduced system to a relative residual of
+1e-6, or the solve fails with SolverFailureError.
 SolverConfig holds the one setting, the outer iteration cap; it is frozen,
 and an out-of-range value raises ParameterError (CLI exit 2).
 
@@ -42,7 +44,6 @@ This is the discrete form of Meyer's G-norm test for ROF (Meyer 2001).
 
 import warnings
 from dataclasses import InitVar, dataclass, field
-from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -60,11 +61,10 @@ __all__ = [
     "reconstruct",
 ]
 
-_NEGATIVE_CLAMP = -1e-12
 _ETA = 0.995  # fraction-to-boundary
 _CENTERING_EXPONENT = 3.0  # Mehrotra: sigma = (mu_aff / mu) ** 3
-_CG_RTOL = 1e-9  # inner CG; the Newton-residual limit is 1e3 times it
-_CG_MAX_ITERATIONS = 2000  # inner CG cap; a hit warns, and the residual check decides
+_CG_RTOL = 1e-9  # each CG solve of `_tv_newton`; the Newton-residual limit is 1e3 times it
+_CG_MAX_ITERATIONS = 2000  # its cap; a hit warns, and the residual check decides
 _TOL = 1e-8  # relative primal and dual residuals and the gap mu at convergence
 
 
@@ -129,116 +129,92 @@ def _step_to_boundary(v, dv):
     return float(np.min(-v[neg] / dv[neg]))
 
 
-class _GenericNewton:
-    """Dense factorization of the reduced saddle system."""
+def _dense_newton(problem):
+    """factor(d) -> solve(r1, p2) -> (dz, dy) on the dense reduced saddle matrix."""
+    nz, ny = problem.z_dim, problem.y_dim
+    Q = np.asarray(problem.Q, dtype=float)
+    B = np.asarray(problem.B, dtype=float)
 
-    def __init__(self, problem, z, x_tilde):
-        self.diag = x_tilde / z
-        nz, ny = problem.z_dim, problem.y_dim
-        Q = np.asarray(problem.Q, dtype=float)
-        B = np.asarray(problem.B, dtype=float)
+    def factor(d):
         K = np.zeros((nz + ny, nz + ny))
-        K[:nz, :nz] = -(Q + np.diag(self.diag))
+        K[:nz, :nz] = -(Q + np.diag(d))
         K[:nz, nz:] = B.T
         K[nz:, :nz] = B
-        self._K = K
-        self.nz, self.ny = nz, ny
 
-    def solve(self, p1, p2, p3):
-        r1 = p1 - self.diag * p3
-        rhs = np.concatenate([r1, p2])
-        try:
-            sol = np.linalg.solve(self._K, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SolverFailureError(f"Newton system is singular: {exc}") from exc
-        dz, dy = sol[: self.nz], sol[self.nz :]
-        dx = self.diag * (p3 - dz)
-        return dz, dy, dx
+        def solve(r1, p2):
+            try:
+                sol = np.linalg.solve(K, np.concatenate([r1, p2]))
+            except np.linalg.LinAlgError as exc:
+                raise SolverFailureError(f"Newton system is singular: {exc}") from exc
+            return sol[:nz], sol[nz:]
+
+        return solve
+
+    return factor
 
 
-class _TvNewton:
-    """Structured elimination for the split-variable TV problem.
+def _tv_newton(problem):
+    """factor(d) -> solve(r1, p2) -> (dz, dy) for the split-variable TV problem.
 
-    With d = x~/z split into blocks (d_f, d_hp, d_hm, d_vp, d_vm) and
-    harmonic weights w = 1/(1/d+ + 1/d-), all split variables and equality
-    duals reduce to closed forms around the image-block SPD solve
-    (A^T A + G) df = rhs, which `_solve_image_block` runs by CG with this
-    iterate's splu factor of G + diag(A^T A) (ata_diag) as preconditioner.
+    With d split into blocks (d_f, d_hp, d_hm, d_vp, d_vm) and harmonic
+    weights w = 1/(1/d+ + 1/d-), all split variables and equality duals
+    reduce to closed forms around the image-block SPD solve
+    (A^T A + G) df = rhs, run by CG with the iterate's splu factor of
+    G + diag(A^T A) as preconditioner.
     """
+    N, d_h, d_v = problem.N, problem.ops.d_h, problem.ops.d_v
+    A = problem.A.matrix
+    # the CSC view A^T, once per solve rather than per CG iteration; a CSR
+    # copy measured slower, as each iteration then reads two copies of A
+    AT = A.T
+    ata_diag = np.asarray(A.multiply(A).sum(axis=0)).ravel()
 
-    def __init__(self, problem, z, x_tilde, at, ata_diag):
-        self.ops = ops = problem.ops
-        self.N = N = problem.N
-        self.A = problem.A.matrix
-        self.AT = at
-        self.diag = d = x_tilde / z
-        self.d_f = d[:N]
-        self.d_hp, self.d_hm = d[N : 2 * N], d[2 * N : 3 * N]
-        self.d_vp, self.d_vm = d[3 * N : 4 * N], d[4 * N : 5 * N]
-        self.w_h = 1.0 / (1.0 / self.d_hp + 1.0 / self.d_hm)
-        self.w_v = 1.0 / (1.0 / self.d_vp + 1.0 / self.d_vm)
-        self.G = G = (
-            sp.diags(self.d_f)
-            + ops.d_h.T @ sp.diags(self.w_h) @ ops.d_h
-            + ops.d_v.T @ sp.diags(self.w_v) @ ops.d_v
-        ).tocsr()
+    def factor(d):
+        d_f, d_hp, d_hm, d_vp, d_vm = (d[k * N : (k + 1) * N] for k in range(5))
+        w_h = 1.0 / (1.0 / d_hp + 1.0 / d_hm)
+        w_v = 1.0 / (1.0 / d_vp + 1.0 / d_vm)
+        G = (sp.diags(d_f) + d_h.T @ sp.diags(w_h) @ d_h + d_v.T @ sp.diags(w_v) @ d_v).tocsr()
         # A^T A enters only through its diagonal.  TV weights near 1e14 round the sum to a
         # singular Laplacian; 10 eps max(diag), twice a 5-point row's rounding, keeps it regular
         pre_diag = ata_diag + 10 * np.finfo(float).eps * (G.diagonal() + ata_diag).max()
         try:
             # symmetric 5-point pattern: minimum degree on A^T+A halves COLAMD's fill
-            self._pre_lu = spla.splu((G + sp.diags(pre_diag)).tocsc(),
-                                     permc_spec="MMD_AT_PLUS_A")
+            lu = spla.splu((G + sp.diags(pre_diag)).tocsc(), permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:
             raise SolverFailureError(f"preconditioner factorization failed: {exc}") from exc
 
-    def _solve_image_block(self, rhs):
-        A, AT, G, N = self.A, self.AT, self.G, self.N
-        op = spla.LinearOperator((N, N), matvec=lambda v: AT @ (A @ v) + G @ v)
-        pre = spla.LinearOperator((N, N), matvec=self._pre_lu.solve)
-        sol, info = spla.cg(
-            op, rhs, rtol=_CG_RTOL, atol=0.0, maxiter=_CG_MAX_ITERATIONS, M=pre,
-        )
-        if info > 0:
-            # accept the iterate; the caller verifies the overall residual
-            warnings.warn(f"inner CG hit the iteration cap ({info})")
-        return sol
+        def solve(r1, p2):
+            r1_f, r1_hp, r1_hm, r1_vp, r1_vm = (r1[k * N : (k + 1) * N] for k in range(5))
+            rhs_h = p2[:N] - r1_hp / d_hp + r1_hm / d_hm
+            rhs_v = p2[N:] - r1_vp / d_vp + r1_vm / d_vm
+            rhs_f = -r1_f + d_h.T @ (w_h * rhs_h) + d_v.T @ (w_v * rhs_v)
+            op = spla.LinearOperator((N, N), matvec=lambda v: AT @ (A @ v) + G @ v)
+            pre = spla.LinearOperator((N, N), matvec=lu.solve)
+            df, info = spla.cg(op, rhs_f, rtol=_CG_RTOL, atol=0.0,
+                               maxiter=_CG_MAX_ITERATIONS, M=pre)
+            if info > 0:
+                # accept the iterate; pdip_solve checks the Newton residual
+                warnings.warn(f"inner CG hit the iteration cap ({info})")
+            dy_h = w_h * (rhs_h - d_h @ df)
+            dy_v = w_v * (rhs_v - d_v @ df)
+            dz = np.concatenate([df, -(r1_hp + dy_h) / d_hp, -(r1_hm - dy_h) / d_hm,
+                                 -(r1_vp + dy_v) / d_vp, -(r1_vm - dy_v) / d_vm])
+            return dz, np.concatenate([dy_h, dy_v])
 
-    def solve(self, p1, p2, p3):
-        N, ops = self.N, self.ops
-        r1 = p1 - self.diag * p3
-        r1_f = r1[:N]
-        r1_hp, r1_hm = r1[N : 2 * N], r1[2 * N : 3 * N]
-        r1_vp, r1_vm = r1[3 * N : 4 * N], r1[4 * N : 5 * N]
-        r2_h, r2_v = p2[:N], p2[N:]
+        return solve
 
-        rhs_h = r2_h - r1_hp / self.d_hp + r1_hm / self.d_hm
-        rhs_v = r2_v - r1_vp / self.d_vp + r1_vm / self.d_vm
-        rhs_f = -r1_f + ops.d_h.T @ (self.w_h * rhs_h) + ops.d_v.T @ (self.w_v * rhs_v)
-
-        df = self._solve_image_block(rhs_f)
-        dy_h = self.w_h * (rhs_h - ops.d_h @ df)
-        dy_v = self.w_v * (rhs_v - ops.d_v @ df)
-        dhp = -(r1_hp + dy_h) / self.d_hp
-        dhm = -(r1_hm - dy_h) / self.d_hm
-        dvp = -(r1_vp + dy_v) / self.d_vp
-        dvm = -(r1_vm - dy_v) / self.d_vm
-
-        dz = np.concatenate([df, dhp, dhm, dvp, dvm])
-        dy = np.concatenate([dy_h, dy_v])
-        dx = self.diag * (p3 - dz)
-        return dz, dy, dx
+    return factor
 
 
 def _newton_builder(problem):
-    """(z, x~) -> Newton solver at that iterate."""
-    if isinstance(problem, QpProblem):
-        A = problem.A.matrix
-        ata_diag = np.asarray(A.multiply(A).sum(axis=0)).ravel()
-        # the CSC view A^T, once per solve rather than per CG iteration; a CSR
-        # copy measured slower, as each iteration then reads two copies of A
-        return partial(_TvNewton, problem, at=A.T, ata_diag=ata_diag)
-    return partial(_GenericNewton, problem)
+    """The problem's factor(d) -> solve(r1, p2) -> (dz, dy); see `_newton_step`."""
+    return (_tv_newton if isinstance(problem, QpProblem) else _dense_newton)(problem)
+
+
+def _newton_step(solve, d, p1, p2, p3):
+    """(dz, dy, dx~) of the reduced saddle system at the barrier diagonal d = x~/z."""
+    dz, dy = solve(p1 - d * p3, p2)
+    return dz, dy, d * (p3 - dz)
 
 
 def pdip_solve(problem, config=None):
@@ -265,7 +241,7 @@ def pdip_solve(problem, config=None):
     norm_c = 1.0 + np.linalg.norm(c)
 
     history = []
-    new_newton = _newton_builder(problem)
+    factor = _newton_builder(problem)
 
     def report(reason, objective):
         return ConvergenceReport(
@@ -294,19 +270,20 @@ def pdip_solve(problem, config=None):
         p2 = -r_primal_vec  # b - Bz
 
         try:
-            newton = new_newton(z, x)
+            d = x / z
+            solve = factor(d)
             # predictor: mu = 0, no second-order term
-            dz_a, dy_a, dx_a = newton.solve(p1, p2, -z)
+            dz_a, dy_a, dx_a = _newton_step(solve, d, p1, p2, -z)
             a_p = min(1.0, _step_to_boundary(z, dz_a))
             a_d = min(1.0, _step_to_boundary(x, dx_a))
             mu_aff = float((z + a_p * dz_a) @ (x + a_d * dx_a)) / nz
             sigma = min(1.0, (max(mu_aff, 0.0) / mu) ** _CENTERING_EXPONENT)
             # corrector with Mehrotra second-order term
             p3 = sigma * mu / x - z - dz_a * dx_a / x
-            dz, dy, dx = newton.solve(p1, p2, p3)
+            dz, dy, dx = _newton_step(solve, d, p1, p2, p3)
             # relative residual of the reduced system
-            r1 = p1 - newton.diag * p3
-            res1 = -(problem.apply_Q(dz) + newton.diag * dz) + np.asarray(problem.B.T @ dy) - r1
+            r1 = p1 - d * p3
+            res1 = -(problem.apply_Q(dz) + d * dz) + np.asarray(problem.B.T @ dy) - r1
             res2 = np.asarray(problem.B @ dz) - p2
             rel = np.sqrt(np.linalg.norm(res1) ** 2 + np.linalg.norm(res2) ** 2) / (
                 1.0 + np.sqrt(np.linalg.norm(r1) ** 2 + np.linalg.norm(p2) ** 2))
@@ -332,14 +309,8 @@ def pdip_solve(problem, config=None):
     final = report("converged" if converged else "max_iterations", problem.objective(z))
 
     if isinstance(problem, QpProblem):
-        f = z[: problem.N].copy()
-        worst = float(f.min())
-        if worst < _NEGATIVE_CLAMP:
-            raise SolverFailureError(
-                f"reconstruction has negative pixel {worst:.3e}", report=final
-            )
-        np.clip(f, 0.0, None, out=f)
-        return ImageGrid(problem.n, f), final
+        # the strict-interior check keeps z > 0; copy so the image does not hold z alive
+        return ImageGrid(problem.n, z[: problem.N].copy()), final
     return z, final
 
 

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .geometry import assemble_system_matrix, usable_cpus
 from .grid import tv_norm
-from .pdip import SolverConfig, reconstruct
+from .pdip import reconstruct
 from .table import SweepTable
 
 __all__ = [
@@ -129,7 +129,6 @@ def run_sweep(geom, g_tilde, alphas, resolutions, config=None):
     Cells start costliest first: the finest grid, and within it the smallest
     alpha.
     """
-    config = config or SolverConfig()
     alphas = list(alphas)
     for alpha in alphas:
         check_real("alphas", alpha, ParameterError)

@@ -217,6 +217,8 @@ EDGE_GEOMETRIES = [
     (tv.ScanGeometry(num_angles=7, num_detector_pixels=5), 1),
     (tv.ScanGeometry(mode="fan", num_angles=3, num_detector_pixels=4, detector_extent=2.0,
                      source_radius=2.0, detector_radius=1.0), 1),
+    # the CLI's default parallel beam: 90 angles, ceil(1.5 n) detectors
+    (tv.ScanGeometry.default_parallel(5), 5),
 ]
 
 
@@ -235,6 +237,10 @@ class TestBatchedAssembly:
     @pytest.mark.parametrize("geom, n", EDGE_GEOMETRIES)
     def test_edge_geometries(self, geom, n):
         self.assert_matches_oracle(geom, n)
+
+    def test_default_parallel_counts(self):
+        geom = tv.ScanGeometry.default_parallel(5)
+        assert (geom.mode, geom.num_angles, geom.num_detector_pixels) == ("parallel", 90, 8)
 
     def test_one_angle_many_detectors_spans_batches(self):
         n = 64

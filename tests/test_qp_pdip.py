@@ -16,6 +16,7 @@ from tvtomo.pdip import (
     _TOL,
     _constant_image_certificate,
     _newton_builder,
+    _newton_step,
     _solve_periodic_poisson,
     _step_to_boundary,
 )
@@ -97,7 +98,8 @@ def assemble_full_kkt(problem, z, x_tilde):
 
 def newton_step(problem, z, x_tilde, p1, p2, p3):
     """(dz, dy, dx~) of the reduced KKT system at (z, x~), as pdip_solve takes it."""
-    return _newton_builder(problem)(z, x_tilde).solve(p1, p2, p3)
+    d = x_tilde / z
+    return _newton_step(_newton_builder(problem)(d), d, p1, p2, p3)
 
 
 class TestNewtonSystem:
@@ -191,7 +193,12 @@ class TestPdipSolve:
         _, _, _, _, problem = make_tv_instance(n=4, num_angles=4, alpha=10.0, seed=6)
         img, _ = tv.pdip_solve(problem)
         assert np.all(np.isfinite(img.values))
-        assert np.all(img.values >= 0)
+        assert np.all(img.values > 0)
+        # no iteration: the starting point, max(1, max|g|) in every pixel
+        img, report = tv.pdip_solve(problem, tv.SolverConfig(max_iterations=0))
+        assert (report.reason, report.iterations) == ("max_iterations", 0)
+        start = max(1.0, float(np.abs(problem.g).max()))
+        assert start == 1.0 and np.all(img.values == start)
 
     def test_singular_newton_system_fails_with_report(self):
         # two identical equality rows: the reduced saddle matrix is singular
