@@ -2,8 +2,8 @@
 select -> report.
 
 Every subcommand writes its artifacts plus a ``manifest.txt`` (inputs,
-seeds, versions, recorded argv) into the output directory, so any run can
-be reproduced bit-identically by replaying the manifest's command line.
+seeds, version, shell-quoted argv) into the output directory, so any run
+can be reproduced bit-identically by replaying the manifest's command line.
 
 Exit codes: 0 success, 2 usage/parse error, 3 solver failure, 4 selection
 failure.
@@ -11,13 +11,13 @@ failure.
 
 import argparse
 import os
+import shlex
 import sys
 from dataclasses import fields
-from importlib.metadata import PackageNotFoundError, version as pkg_version
 
 import numpy as np
 
-from . import fileio
+from . import __version__, fileio
 from .errors import (
     FormatError,
     NoSelectionError,
@@ -27,7 +27,7 @@ from .errors import (
 )
 from .geometry import ScanGeometry, assemble_system_matrix, forward_project, usable_cpus
 from .grid import tv_norm
-from .pdip import SolverConfig, reconstruct
+from .pdip import HISTORY_COLUMNS, SolverConfig, reconstruct
 from .phantoms import NoiseSpec, Phantom, add_noise, render_phantom
 from .select import (
     BLAS_THREAD_ENV,
@@ -47,13 +47,6 @@ EXIT_SELECTION = 4
 _DEFAULT_ALPHAS = [10.0 ** k for k in range(-4, 7)]
 
 
-def _version():
-    try:
-        return pkg_version("tvtomo")
-    except PackageNotFoundError:
-        return "unknown"
-
-
 def _out(args, name):
     """The path of ``name`` in the ``--out`` directory, made at the first write."""
     os.makedirs(args.out, exist_ok=True)
@@ -62,9 +55,9 @@ def _out(args, name):
 
 def _write_manifest(args, extra):
     entries = {
-        "command": " ".join(args.argv),
+        "command": shlex.join(args.argv),
         "subcommand": args.command,
-        "version": _version(),
+        "version": __version__,
     }
     entries.update(extra)
     fileio.write_config(_out(args, "manifest.txt"), entries)
@@ -229,9 +222,7 @@ def _cmd_reconstruct(args):
     fileio.write_pgm(_out(args, f"{args.name}.pgm"), img)
     fileio.write_curve_csv(
         _out(args, f"{args.name}_convergence.csv"),
-        {k: np.array(v) for k, v in zip(
-            ["iteration", "mu", "r_primal", "r_dual", "step_primal", "step_dual"],
-            zip(*report.history))},
+        dict(zip(HISTORY_COLUMNS, map(np.array, zip(*report.history)))),
     )
     tv = tv_norm(img)
     _write_manifest(args, {

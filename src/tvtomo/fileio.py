@@ -199,16 +199,20 @@ def read_sweep_csv(path):
     return SweepTable.from_cells(cells)
 
 
+def _write_columns(fh, columns):
+    """A header row of the column names, then one CSV row per index of the
+    equal-length arrays; float and bool cells are written as repr(float)."""
+    w = csv.writer(fh)
+    w.writerow(list(columns))
+    for row in zip(*(np.asarray(a).ravel() for a in columns.values())):
+        w.writerow([repr(float(v)) if isinstance(v, (float, np.floating, np.bool_)) else v
+                    for v in row])
+
+
 def write_curve_csv(path, columns):
     """Write named columns (dict of equal-length arrays) as CSV."""
-    names = list(columns)
-    arrays = [np.asarray(columns[k]).ravel() for k in names]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(names)
-        for row in zip(*arrays):
-            w.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v
-                        for v in row])
+        _write_columns(fh, columns)
 
 
 def write_diagnostics_csv(path, diagnostics):
@@ -220,10 +224,7 @@ def write_diagnostics_csv(path, diagnostics):
         for k, v in scalars.items():
             fh.write(f"# {k}={v}\n")
         if arrays:
-            w = csv.writer(fh)
-            w.writerow(list(arrays))
-            for row in zip(*[a.ravel() for a in arrays.values()]):
-                w.writerow([repr(float(v)) if np.isreal(v) else v for v in row])
+            _write_columns(fh, arrays)
 
 
 def read_config(path):

@@ -53,7 +53,7 @@ def usable_cpus():
         return os.cpu_count() or 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScanGeometry:
     """Source/detector layout; parallel-beam or fan-beam."""
 
@@ -121,7 +121,7 @@ class ScanGeometry:
         yield from zip(*self.ray_arrays())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseSystemMatrix:
     """CSR matrix of ray/pixel intersection lengths, rows = rays."""
 
@@ -130,7 +130,7 @@ class SparseSystemMatrix:
     matrix: sp.csr_matrix = field(repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sinogram:
     """Projection data, one value per (angle, detector pixel) ray."""
 

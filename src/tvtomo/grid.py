@@ -27,7 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ImageGrid:
     """n x n pixel image on the unit square, column-major flat storage."""
 
@@ -59,7 +59,7 @@ class ImageGrid:
         return self.values.reshape(self.n, self.n, order="F")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DifferenceOperators:
     """Periodic horizontal/vertical difference matrices for one grid size."""
 

@@ -56,6 +56,7 @@ from .qp import QpProblem, build_qp
 __all__ = [
     "SolverConfig",
     "ConvergenceReport",
+    "HISTORY_COLUMNS",
     "GenericQp",
     "pdip_solve",
     "reconstruct",
@@ -78,6 +79,10 @@ class SolverConfig:
         check_count("max_iterations", self.max_iterations, 0, ParameterError)
 
 
+# the fields of each ConvergenceReport.history row, in order
+HISTORY_COLUMNS = ("iteration", "mu", "r_primal", "r_dual", "step_primal", "step_dual")
+
+
 @dataclass
 class ConvergenceReport:
     iterations: int
@@ -86,11 +91,10 @@ class ConvergenceReport:
     r_dual: float
     mu: float
     objective: float
-    # rows of (iteration, mu, r_primal, r_dual, step_primal, step_dual)
-    history: list = field(default_factory=list)
+    history: list = field(default_factory=list)  # rows of HISTORY_COLUMNS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GenericQp:
     """Small dense QP in the same canonical form, for tests and toys."""
 

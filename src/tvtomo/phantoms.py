@@ -28,7 +28,6 @@ class Phantom:
 
     kind: str
     params: dict = field(default_factory=dict)
-    analytic_tv: float = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -39,11 +38,23 @@ class Phantom:
                 f"a {self.kind} phantom takes params {sorted(keys)}, got {list(self.params)}"
             )
 
+    @property
+    def analytic_tv(self):
+        """Exact TV of the shells, sum 8 r_i |v_i - v_{i-1}| with v_{-1} = 0 outside
+        (a Manhattan perimeter 8 r_i per unit jump); None for a polygon."""
+        if "shells" not in self.params:
+            return None
+        tv, outer = 0.0, 0.0
+        for r, v in self.params["shells"]:
+            tv += 8.0 * r * abs(v - outer)
+            outer = v
+        return tv
+
     @classmethod
     def disc(cls, r=0.25, value=1.0, center=(0.5, 0.5)):
         """A nested-shells phantom with one shell, kept as kind "disc"."""
         shell = cls.nested_shells([(r, value)], center)
-        return cls(kind="disc", params=shell.params, analytic_tv=shell.analytic_tv)
+        return cls(kind="disc", params=shell.params)
 
     @classmethod
     def nested_shells(cls, shells, center=(0.5, 0.5)):
@@ -63,18 +74,10 @@ class Phantom:
         r0 = radii[0]
         if not (r0 < cx < 1 - r0 and r0 < cy < 1 - r0):
             raise ParameterError("outermost shell must be contained in (0,1)^2")
-        # each circle of radius r_i separates value v_{i-1} (outside, v_{-1}=0)
-        # from v_i, contributing a Manhattan perimeter 8 r_i per unit jump
-        tv = 0.0
-        outer = 0.0
-        for r, v in shells:
-            tv += 8.0 * r * abs(v - outer)
-            outer = v
         return cls(
             kind="nested-shells",
             params={"shells": [(float(r), float(v)) for r, v in shells],
                     "center": (float(cx), float(cy))},
-            analytic_tv=tv,
         )
 
     @classmethod

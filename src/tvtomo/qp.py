@@ -18,12 +18,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ParameterError, ShapeMismatchError, check_real
-from .grid import build_difference_operators
+from .grid import ImageGrid, build_difference_operators, tv_norm
 
 __all__ = ["QpProblem", "build_qp"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QpProblem:
     """Split-variable QP data; Q is applied functionally via A."""
 
@@ -62,8 +62,7 @@ class QpProblem:
     def objective_of_image(self, f_values):
         """Direct evaluation 1/2 |Af - g|^2 + alpha * TV(f)."""
         r = self.A.matrix @ f_values - self.g
-        tv = np.abs(self.ops.d_h @ f_values).sum() + np.abs(self.ops.d_v @ f_values).sum()
-        return float(0.5 * r @ r + self.alpha * tv)
+        return float(0.5 * r @ r + self.alpha * tv_norm(ImageGrid(self.n, f_values)))
 
 
 def build_qp(A, g_tilde, alpha):

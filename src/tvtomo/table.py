@@ -14,7 +14,7 @@ __all__ = ["SweepTable"]
 CELL_STATUSES = ("converged", "max_iterations", "solver_failure", "absent")
 
 
-@dataclass
+@dataclass(eq=False)
 class SweepTable:
     """(alpha, resolution) grid of TV norms and data residuals.
 

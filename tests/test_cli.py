@@ -1,4 +1,8 @@
 import os
+import re
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,6 +24,27 @@ class TestPhantomCommand:
         manifest = tv.read_config(tmp_path / "manifest.txt")
         assert float(manifest["output.tv_norm"]) == pytest.approx(2.0, abs=1e-12)
         assert "tv_norm=2" in capsys.readouterr().out
+
+    def test_manifest_records_the_package_version(self, tmp_path):
+        pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+        assert tv.__version__ == re.search(r'^version = "(.+)"$', pyproject, re.M).group(1)
+        assert run(tmp_path, "phantom", "--n", "4") == 0
+        assert tv.read_config(tmp_path / "manifest.txt")["version"] == tv.__version__
+
+    def test_manifest_command_replays(self, tmp_path, monkeypatch):
+        """A recorded command line with spaced arguments replays to the same files."""
+        first, second = tmp_path / "first", tmp_path / "second"
+        first.mkdir()
+        second.mkdir()
+        monkeypatch.chdir(first)
+        assert main(["--out", "run 1", "phantom", "--kind", "disc", "--n", "16",
+                     "--name", "my disc"]) == 0
+        command = tv.read_config(first / "run 1" / "manifest.txt")["command"]
+        assert command == "tvtomo --out 'run 1' phantom --kind disc --n 16 --name 'my disc'"
+        monkeypatch.chdir(second)
+        assert main(shlex.split(command)[1:]) == 0
+        for name in ("my disc.img", "my disc.pgm", "manifest.txt"):
+            assert (second / "run 1" / name).read_bytes() == (first / "run 1" / name).read_bytes()
 
     def test_shells_kind(self, tmp_path):
         code = run(tmp_path, "phantom", "--kind", "shells",

@@ -166,6 +166,17 @@ class TestSystemMatrix:
         with pytest.raises(InvalidGeometryError):
             tv.ScanGeometry(num_angles=4, num_detector_pixels=4, **kwargs)
 
+    def test_array_records_compare_by_identity(self):
+        """Records holding arrays compare and hash without raising, by identity."""
+        def make():
+            geom = tv.ScanGeometry(num_angles=4, num_detector_pixels=6)
+            return (geom, tv.assemble_system_matrix(geom, 4),
+                    tv.Sinogram(geometry=geom, data=np.ones(24)), tv.ImageGrid(2, np.ones(4)))
+        for a, b in zip(make(), make()):
+            assert a != b
+            assert a == a
+            assert len({a, b}) == 2
+
 
 def stacked_trace_ray(geom, n):
     """Oracle: one trace_ray per ray, stacked into a CSR matrix row by row."""

@@ -20,6 +20,9 @@ class TestPhantoms:
         assert p.analytic_tv == pytest.approx(8 * 0.125 * 3.0)
         img = tv.render_phantom(p, 32)
         assert tv.tv_norm(img) == pytest.approx(p.analytic_tv, abs=1e-12)
+        # computed from the params, however the phantom was built
+        assert tv.Phantom(kind="disc", params=p.params).analytic_tv == 3.0
+        assert tv.Phantom.polygon([(0.2, 0.2), (0.8, 0.2), (0.5, 0.8)]).analytic_tv is None
 
     def test_nested_shells_tv_and_homogeneity(self):
         shells = [(0.375, 1.0), (0.25, 2.0), (0.125, 0.5)]

@@ -338,6 +338,12 @@ class TestRunSweep:
                     # NaN cells compare equal to NaN cells only
                     np.testing.assert_array_equal(getattr(other, name), getattr(table, name))
 
+    def test_reissue_warns_from_a_file_no_module_has(self):
+        """A warning whose file belongs to no loaded module keeps its file and line."""
+        with pytest.warns(UserWarning, match="x") as caught:
+            tv.select._reissue([(UserWarning("x"), UserWarning, "/no/such/file.py", 7)])
+        assert [(w.filename, w.lineno) for w in caught] == [("/no/such/file.py", 7)]
+
     @pytest.fixture
     def pool_calls(self, monkeypatch):
         """Replace the process pool by an in-process one; record each pool's
