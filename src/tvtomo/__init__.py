@@ -52,7 +52,6 @@ from .grid import (
     build_difference_operators,
     project_average,
     tv_norm,
-    upsample_constant,
 )
 from .pdip import (
     ConvergenceReport,

@@ -315,6 +315,10 @@ _COMMANDS = {
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
+    if any("\n" in a or "\r" in a for a in argv):
+        # the manifest holds argv on its one command= line, so it could not be replayed
+        print("error: an argument holds a line break", file=sys.stderr)
+        return EXIT_USAGE
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -77,9 +77,9 @@ def check_count(name, value, minimum, error):
         raise error(f"{name} takes integers >= {minimum}, got {value!r}")
 
 
-def check_real(name, value, error, minimum=0.0, strict=True):
-    """Raise ``error`` unless ``value`` is a finite real > minimum, or >= when
+def check_real(name, value, error, strict=True):
+    """Raise ``error`` unless ``value`` is a finite real > 0, or >= 0 when
     not ``strict``; a ``bool`` or ``str`` is not."""
     if isinstance(value, bool) or not isinstance(value, Real) or not (
-            (minimum < value if strict else minimum <= value) and value < math.inf):
-        raise error(f"{name} takes finite reals {'>' if strict else '>='} {minimum}, got {value!r}")
+            (0 < value if strict else 0 <= value) and value < math.inf):
+        raise error(f"{name} takes finite reals {'>' if strict else '>='} 0.0, got {value!r}")

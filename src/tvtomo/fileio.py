@@ -242,6 +242,10 @@ def read_config(path):
 
 
 def write_config(path, entries):
+    """One key=value line per entry; a value with a line break is a FormatError."""
+    for k, v in entries.items():
+        if "\n" in str(v) or "\r" in str(v):
+            raise FormatError(f"{path}: the value of {k} holds a line break: {str(v)!r}")
     with open(path, "w") as fh:
         for k, v in entries.items():
             fh.write(f"{k}={v}\n")

@@ -23,7 +23,6 @@ __all__ = [
     "build_difference_operators",
     "tv_norm",
     "project_average",
-    "upsample_constant",
 ]
 
 
@@ -112,15 +111,3 @@ def project_average(f, target_n):
     mat = f.to_matrix()
     coarse = mat.reshape(target_n, k, target_n, k).sum(axis=(1, 3)) / (k * k)
     return ImageGrid.from_matrix(coarse)
-
-
-def upsample_constant(f, target_n):
-    """Refine by piecewise-constant replication of each pixel."""
-    check_count("target_n", target_n, 1, InvalidDimensionError)
-    if target_n % f.n != 0:
-        raise ResolutionMismatchError(
-            f"cannot replicate n={f.n} up to {target_n}: not an integer multiple"
-        )
-    k = target_n // f.n
-    fine = np.repeat(np.repeat(f.to_matrix(), k, axis=0), k, axis=1)
-    return ImageGrid.from_matrix(fine)

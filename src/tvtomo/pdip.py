@@ -49,7 +49,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ParameterError, SolverFailureError, check_count
+from .errors import ParameterError, ShapeMismatchError, SolverFailureError, check_count
 from .grid import ImageGrid
 from .qp import QpProblem, build_qp
 
@@ -104,25 +104,30 @@ class GenericQp:
     B: np.ndarray = None
 
     def __post_init__(self):
-        nz = np.asarray(self.c).size
-        if self.B is None:
-            object.__setattr__(self, "B", np.zeros((0, nz)))
-        if self.b is None:
-            object.__setattr__(self, "b", np.zeros(np.asarray(self.B).shape[0]))
+        Q, c = np.asarray(self.Q, dtype=float), np.asarray(self.c, dtype=float)
+        nz = c.size
+        B = np.zeros((0, nz)) if self.B is None else np.asarray(self.B, dtype=float)
+        b = np.zeros(B.shape[:1]) if self.b is None else np.asarray(self.b, dtype=float)
+        if (Q.shape, c.shape, B.shape[1:], b.shape) != ((nz, nz), (nz,), (nz,), B.shape[:1]):
+            raise ShapeMismatchError(
+                f"a QP in {nz} variables takes Q ({nz}, {nz}), c ({nz},), B (ny, {nz}) and "
+                f"b (ny,); got Q {Q.shape}, c {c.shape}, B {B.shape} and b {b.shape}")
+        for name, value in (("Q", Q), ("c", c), ("B", B), ("b", b)):
+            object.__setattr__(self, name, value)
 
     @property
     def z_dim(self):
-        return np.asarray(self.c).size
+        return self.c.size
 
     @property
     def y_dim(self):
-        return np.asarray(self.B).shape[0]
+        return self.B.shape[0]
 
     def apply_Q(self, z):
-        return np.asarray(self.Q) @ z
+        return self.Q @ z
 
     def objective(self, z):
-        return float(0.5 * z @ self.apply_Q(z) + np.asarray(self.c) @ z)
+        return float(0.5 * z @ self.apply_Q(z) + self.c @ z)
 
 
 def _step_to_boundary(v, dv):
@@ -135,9 +140,7 @@ def _step_to_boundary(v, dv):
 
 def _dense_newton(problem):
     """factor(d) -> solve(r1, p2) -> (dz, dy) on the dense reduced saddle matrix."""
-    nz, ny = problem.z_dim, problem.y_dim
-    Q = np.asarray(problem.Q, dtype=float)
-    B = np.asarray(problem.B, dtype=float)
+    nz, ny, Q, B = problem.z_dim, problem.y_dim, problem.Q, problem.B
 
     def factor(d):
         K = np.zeros((nz + ny, nz + ny))
@@ -239,8 +242,7 @@ def pdip_solve(problem, config=None):
     x = np.full(nz, start)
     y = np.zeros(ny)
 
-    c = np.asarray(problem.c, dtype=float)
-    b = np.asarray(problem.b, dtype=float)
+    c, b, B = problem.c, problem.b, problem.B
     norm_b = 1.0 + np.linalg.norm(b)
     norm_c = 1.0 + np.linalg.norm(c)
 
@@ -255,8 +257,8 @@ def pdip_solve(problem, config=None):
 
     for it in range(config.max_iterations + 1):
         Qz = problem.apply_Q(z)
-        r_dual_vec = Qz + c - np.asarray(problem.B.T @ y) - x
-        r_primal_vec = np.asarray(problem.B @ z) - b
+        r_dual_vec = Qz + c - B.T @ y - x
+        r_primal_vec = B @ z - b
         r_dual = float(np.linalg.norm(r_dual_vec))
         r_primal = float(np.linalg.norm(r_primal_vec))
         mu = float(z @ x) / nz
@@ -287,8 +289,8 @@ def pdip_solve(problem, config=None):
             dz, dy, dx = _newton_step(solve, d, p1, p2, p3)
             # relative residual of the reduced system
             r1 = p1 - d * p3
-            res1 = -(problem.apply_Q(dz) + d * dz) + np.asarray(problem.B.T @ dy) - r1
-            res2 = np.asarray(problem.B @ dz) - p2
+            res1 = -(problem.apply_Q(dz) + d * dz) + B.T @ dy - r1
+            res2 = B @ dz - p2
             rel = np.sqrt(np.linalg.norm(res1) ** 2 + np.linalg.norm(res2) ** 2) / (
                 1.0 + np.sqrt(np.linalg.norm(r1) ** 2 + np.linalg.norm(p2) ** 2))
             if not np.isfinite(rel) or rel > _CG_RTOL * 1e3:
@@ -360,7 +362,7 @@ def reconstruct(A, g_tilde, alpha, config=None):
     closed form: a converged report of 0 iterations and TV exactly 0."""
     problem = build_qp(A, g_tilde, alpha)
     c_star, bound, r_dual = _constant_image_certificate(problem)
-    if not (np.isfinite(bound) and problem.alpha >= bound):
+    if not problem.alpha >= bound:
         return pdip_solve(problem, config)
     f = np.full(problem.N, c_star)
     residual = problem.A.matrix @ f - problem.g

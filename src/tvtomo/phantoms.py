@@ -22,7 +22,7 @@ _KINDS = {"disc": {"shells", "center"}, "nested-shells": {"shells", "center"},
           "piecewise-polygon": {"vertices", "value"}}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Phantom:
     """Analytic phantom: disc, nested shells, or polygonal region."""
 

@@ -42,8 +42,6 @@ __all__ = [
     "select_lcurve",
 ]
 
-_SPREAD_FLOOR = 1e-12
-
 
 @dataclass(frozen=True)
 class SCurvePrior:
@@ -163,11 +161,12 @@ def run_sweep(geom, g_tilde, alphas, resolutions, config=None):
 
 
 def spread_profile(table):
-    """Relative cross-resolution spread of TV norms per alpha row."""
-    mx = table.tv.max(axis=1)
-    mn = table.tv.min(axis=1)
+    """Relative cross-resolution spread (max - min) / mean of TV norms per alpha
+    row: inf for a row with TV 0 at every resolution, which has nothing to
+    compare and so is never stable, and NaN for a row with a failed cell."""
     mean = table.tv.mean(axis=1)
-    return (mx - mn) / np.maximum(mean, _SPREAD_FLOOR)
+    return np.divide(np.ptp(table.tv, axis=1), mean, out=np.full(mean.shape, np.inf),
+                     where=mean != 0)
 
 
 def stable_rows(table, tol):
@@ -180,9 +179,9 @@ def stable_rows(table, tol):
 def select_multiresolution(table, stability_tol=0.05):
     """Smallest alpha whose TV norms are stable across resolutions.
 
-    Stability of a row is measured by (max - min) / max(mean, floor) over
-    the resolution columns; the rule returns the smallest alpha with
-    spread <= stability_tol.
+    Stability of a row is `spread_profile`, (max - min) / mean over the
+    resolution columns; the rule returns the smallest alpha with spread <=
+    stability_tol, never a row with TV 0 at every resolution (spread inf).
     """
     spreads, stable = stable_rows(table, stability_tol)
     table.require_complete()

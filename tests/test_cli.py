@@ -89,6 +89,14 @@ class TestPhantomCommand:
         assert main(["--out", str(out), *argv]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["a\nb", "a\rb"], ids=["newline", "carriage-return"])
+    def test_line_break_in_argv_is_refused_before_any_output(self, tmp_path, capsys, name):
+        # the manifest's command= line could not be read back or replayed
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "phantom", "--n", "4", "--name", name]) == 2
+        assert "line break" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_report_to_unusable_out_prints_nothing(self, tmp_path, capsys):
         table = tv.SweepTable(alphas=[0.1, 1.0], resolutions=[8, 16], tv=np.ones((2, 2)),
                               residual=np.ones((2, 2)))
@@ -181,6 +189,20 @@ class TestPipeline:
         out = capsys.readouterr().out
         assert "alpha" in out and "spread" in out
         assert (tmp_path / "report.csv").exists()
+
+    def test_report_does_not_star_a_tv_zero_row(self, tmp_path, capsys):
+        table = tv.SweepTable(alphas=[0.1, 1.0, 10.0], resolutions=[8, 16],
+                              tv=[[1.0, 1.01], [0.5, 0.9], [0.0, 0.0]], residual=np.ones((3, 2)))
+        tv.write_sweep_csv(tmp_path / "sweep.csv", table)
+        capsys.readouterr()
+        assert run(tmp_path, "report", "--table", str(tmp_path / "sweep.csv")) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert rows[0].endswith("*")
+        assert not rows[1].endswith("*")
+        assert rows[2].split()[-1] == "inf"
+        report = (tmp_path / "report.csv").read_text().splitlines()
+        assert report[0].split(",")[:3] == ["alpha", "spread", "stable"]
+        assert report[3].split(",")[1:3] == ["inf", "0"]
 
     def test_scurve_without_prior_is_usage_error(self, tmp_path):
         sino_path = self.make_data(tmp_path)

@@ -39,8 +39,6 @@ G = tv.forward_project(A, tv.render_phantom(tv.Phantom.disc(r=0.25), 4))
     (InvalidDimensionError, lambda: tv.ImageGrid(2.0, np.zeros(4))),
     (InvalidDimensionError, lambda: tv.build_difference_operators(2.5)),
     (InvalidDimensionError, lambda: tv.project_average(tv.ImageGrid(4, np.zeros(16)), 2.0)),
-    (InvalidDimensionError, lambda: tv.upsample_constant(tv.ImageGrid(2, np.zeros(4)), 4.0)),
-    (InvalidDimensionError, lambda: tv.upsample_constant(tv.ImageGrid(2, np.zeros(4)), -2)),
     (ParameterError, lambda: tv.Phantom.disc(r="0.2")),
     (ParameterError, lambda: tv.Phantom.disc(center=("0.5", 0.5))),
     (ParameterError, lambda: tv.Phantom.nested_shells([(0.3, "1")])),
@@ -78,9 +76,13 @@ G = tv.forward_project(A, tv.render_phantom(tv.Phantom.disc(r=0.25), 4))
     (ParameterError, lambda: tv.Phantom(kind="piecewise-polygon")),
     (ParameterError, lambda: tv.Phantom(kind="disc", params=tv.Phantom.polygon(
         [(0.2, 0.2), (0.8, 0.2), (0.5, 0.8)]).params)),
+    (ShapeMismatchError, lambda: tv.GenericQp(Q=np.eye(3), c=np.ones(2))),
+    (ShapeMismatchError, lambda: tv.GenericQp(Q=np.eye(2), c=np.ones(2), B=np.ones((1, 3)))),
+    (ShapeMismatchError, lambda: tv.GenericQp(Q=np.eye(2), c=np.ones(2), B=np.ones((1, 2)),
+                                              b=np.ones(2))),
+    (ShapeMismatchError, lambda: tv.GenericQp(Q=np.eye(2), c=np.ones(2), b=np.ones(1))),
 ], ids=["extent-str", "fan-radius-str",
         "assemble-n-float", "grid-n-float", "operators-n-float", "average-n-float",
-        "upsample-n-float", "upsample-n-negative",
         "disc-r-str", "disc-center-str", "shells-value-str", "polygon-value-str",
         "render-n-float", "qp-alpha-str", "s_hat-nan", "s_hat-inf",
         "mode-unknown", "angles-count", "sinogram-length", "sinogram-nan",
@@ -89,7 +91,8 @@ G = tv.forward_project(A, tv.render_phantom(tv.Phantom.disc(r=0.25), 4))
         "table-tv-inf", "table-tv-negative", "table-residual-inf", "table-residual-negative",
         "table-from-cells-tv-inf",
         "phantom-disc-no-params", "phantom-shells-no-center", "phantom-polygon-no-params",
-        "phantom-disc-polygon-params"])
+        "phantom-disc-polygon-params",
+        "qp-Q-shape", "qp-B-shape", "qp-b-length", "qp-b-without-B"])
 def test_bad_scalar_raises_its_class(error, call):
     with pytest.raises(error):
         call()

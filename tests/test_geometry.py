@@ -394,7 +394,7 @@ class TestProjection:
         # the grid used to represent it
         geom = tv.ScanGeometry(num_angles=6, num_detector_pixels=10)
         img = tv.ImageGrid(8, rng.uniform(size=64))
-        fine = tv.upsample_constant(img, 16)
+        fine = tv.ImageGrid.from_matrix(np.kron(img.to_matrix(), np.ones((2, 2))))
         g_coarse = tv.forward_project(tv.assemble_system_matrix(geom, 8), img)
         g_fine = tv.forward_project(tv.assemble_system_matrix(geom, 16), fine)
         assert np.allclose(g_coarse.data, g_fine.data, atol=1e-10, rtol=0)

@@ -111,27 +111,12 @@ class TestResolutionMaps:
         with pytest.raises(ResolutionMismatchError):
             tv.project_average(img, 3)
 
-    def test_upsample_constant_values(self):
-        img = tv.ImageGrid(4, np.full(16, 1.5))
-        out = tv.upsample_constant(img, 8)
-        assert out.n == 8 and np.all(out.values == 1.5)
-
-    def test_upsample_single_pixel(self):
-        img = tv.ImageGrid(1, np.array([1.0]))
-        out = tv.upsample_constant(img, 2)
-        assert np.array_equal(out.values, np.ones(4))
-        assert tv.tv_norm(out) == 0.0
-
-    def test_upsample_requires_divisible(self):
-        img = tv.ImageGrid(4, np.zeros(16))
-        with pytest.raises(ResolutionMismatchError):
-            tv.upsample_constant(img, 6)
-
     def test_round_trip_bit_identical(self, rng):
         for _ in range(10):
             img = tv.ImageGrid(4, rng.normal(size=16))
             for m in (2, 4):
-                back = tv.project_average(tv.upsample_constant(img, m * 4), 4)
+                fine = tv.ImageGrid.from_matrix(np.kron(img.to_matrix(), np.ones((m, m))))
+                back = tv.project_average(fine, 4)
                 assert np.array_equal(back.values, img.values)
 
     def test_averaging_does_not_increase_tv(self, rng):

@@ -86,6 +86,11 @@ class TestPhantoms:
         np.testing.assert_array_equal(tv.render_phantom(disc, n).values,
                                       tv.render_phantom(shell, n).values)
 
+    def test_phantoms_compare_and_hash_by_identity(self):
+        a, b = tv.Phantom.disc(), tv.Phantom.disc()
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
 
 class TestNoise:
     def make_sino(self):
@@ -407,6 +412,13 @@ class TestPhantomAndConfigFiles:
         path = tmp_path / "run.cfg"
         tv.write_config(path, entries)
         assert tv.read_config(path) == entries
+
+    @pytest.mark.parametrize("value", ["a\nb", "a\rb", "a\r\n"])
+    def test_config_value_with_line_break_is_refused(self, tmp_path, value):
+        path = tmp_path / "run.cfg"
+        with pytest.raises(FormatError):
+            tv.write_config(path, {"command": value})
+        assert not path.exists()
 
     def test_config_comments_and_blanks(self, tmp_path):
         path = tmp_path / "run.cfg"

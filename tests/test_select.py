@@ -85,11 +85,41 @@ class TestMultiResolution:
         a2, _ = tv.select_multiresolution(scaled)
         assert a1 == a2
 
+    def test_scale_equivariance_at_tiny_tv(self):
+        # no floor under the row mean: TV norms near 1e-14 give the same spreads
+        spreads = spread_profile(make_table(TV_FIVE_PERCENT))
+        tiny = spread_profile(make_table(1e-14 * TV_FIVE_PERCENT))
+        np.testing.assert_allclose(tiny, spreads, rtol=1e-12)
+        assert tv.select_multiresolution(make_table(1e-14 * TV_FIVE_PERCENT))[0] == 10.0
+
     def test_spread_profile_hand_values(self):
         table = make_table(TV_LOW_NOISE)
         spreads = spread_profile(table)
         assert spreads[4] == pytest.approx((1.11 - 1.08) / np.mean([1.08, 1.11, 1.11]))
         assert spreads[0] == pytest.approx((3.64 - 1.51) / np.mean([1.51, 2.29, 3.64]))
+
+    def test_tv_zero_row_is_never_stable(self):
+        """The constant image has TV 0 at every resolution: nothing to compare."""
+        table = make_table([[1.0, 2.0], [0.5, 0.8], [0.0, 0.0]], resolutions=(16, 32))
+        spreads = spread_profile(table)
+        assert np.isinf(spreads[2]) and np.all(np.isfinite(spreads[:2]))
+        with pytest.raises(NoSelectionError) as exc:
+            tv.select_multiresolution(table)
+        assert exc.value.diagnostics["stable"].tolist() == [False, False, False]
+
+    def test_sweep_does_not_select_the_constant_image(self):
+        """Criterion 7's data at n = 16, 32: the alpha = 1e3 row is the closed-form
+        constant image, TV 0 in both columns, and the two rows below are unstable."""
+        phantom = tv.render_phantom(tv.Phantom.disc(r=0.25), 256)
+        geom = tv.ScanGeometry(num_angles=30, num_detector_pixels=96)
+        g = tv.forward_project(tv.assemble_system_matrix(geom, 256), phantom)
+        noisy = tv.add_noise(g, tv.NoiseSpec(relative_level=0.05, seed=2))
+        table = tv.run_sweep(geom, noisy, [1e-3, 1e-2, 1e3], resolutions=[16, 32])
+        assert np.all(table.tv[2] == 0.0)
+        with pytest.raises(NoSelectionError) as exc:
+            tv.select_multiresolution(table)
+        spreads = exc.value.diagnostics["spreads"]
+        assert np.all(spreads[:2] > 0.4) and np.isinf(spreads[2])
 
     def test_no_stable_row_raises(self):
         tv_values = np.column_stack([np.full(4, 1.0), np.full(4, 2.0)])
