@@ -17,17 +17,22 @@ equality duals leaves an SPD system
 
     (A^T A + diag(d_f) + D_h^T W_h D_h + D_v^T W_v D_v) df = rhs
 
-solved by conjugate gradients (relative tolerance 1e-9, at most 2000
-iterations), preconditioned by an exact splu factorization of the banded
-part G + diag(A^T A), with A^T A applied matrix-free as f -> A^T (A f).
+solved by conjugate gradients (at most 2000 iterations), preconditioned
+by an exact splu factorization of the banded part G + diag(A^T A), with
+A^T A applied matrix-free as f -> A^T (A f).
 G + diag(A^T A) is symmetric, so splu orders its columns by minimum degree
 on A^T+A (MMD_AT_PLUS_A), which fills about half as much as the default
 COLAMD.  `_tv_newton` builds A^T and diag(A^T A) once per solve; its
 factor(d) factors G + diag(A^T A) once per iterate and returns the
-solve(r1, p2) -> (dz, dy) that both solves of the iterate share, and
-`_newton_step` wraps each in the barrier algebra with d = x~/z.  The
-corrector step must solve the reduced system to a relative residual of
-1e-6, or the solve fails with SolverFailureError.
+solve(r1, p2, rtol) -> (dz, dy, cg_iterations) that both solves of the
+iterate share, and `_newton_step` wraps each in the barrier algebra with
+d = x~/z.  The solves are inexact (Eisenstat and Walker 1996; Gondzio
+2013): the predictor only sets the centering sigma and the second-order
+term, so its CG stops at relative tolerance 1e-5, and the corrector's at
+1e-8.  The corrector step must solve the reduced system to a relative
+residual of 1e-6, or the solve fails with SolverFailureError.  Each
+history row records the CG iterations of its predictor and corrector
+solves.
 SolverConfig holds the one setting, the outer iteration cap; it is frozen,
 and an out-of-range value raises ParameterError (CLI exit 2).
 
@@ -64,8 +69,10 @@ __all__ = [
 
 _ETA = 0.995  # fraction-to-boundary
 _CENTERING_EXPONENT = 3.0  # Mehrotra: sigma = (mu_aff / mu) ** 3
-_CG_RTOL = 1e-9  # each CG solve of `_tv_newton`; the Newton-residual limit is 1e3 times it
-_CG_MAX_ITERATIONS = 2000  # its cap; a hit warns, and the residual check decides
+_PREDICTOR_RTOL = 1e-5  # CG tolerance of the predictor solve
+_CORRECTOR_RTOL = 1e-8  # CG tolerance of the corrector solve
+_NEWTON_RTOL = 1e-6  # limit of the corrector's reduced-system residual
+_CG_MAX_ITERATIONS = 2000  # cap of each CG solve; a hit warns, and the residual check decides
 _TOL = 1e-8  # relative primal and dual residuals and the gap mu at convergence
 
 
@@ -80,7 +87,8 @@ class SolverConfig:
 
 
 # the fields of each ConvergenceReport.history row, in order
-HISTORY_COLUMNS = ("iteration", "mu", "r_primal", "r_dual", "step_primal", "step_dual")
+HISTORY_COLUMNS = ("iteration", "mu", "r_primal", "r_dual", "step_primal", "step_dual",
+                   "cg_predictor", "cg_corrector")
 
 
 @dataclass
@@ -139,7 +147,8 @@ def _step_to_boundary(v, dv):
 
 
 def _dense_newton(problem):
-    """factor(d) -> solve(r1, p2) -> (dz, dy) on the dense reduced saddle matrix."""
+    """factor(d) -> solve(r1, p2, rtol) -> (dz, dy, 0) on the dense reduced
+    saddle matrix; the direct solve ignores rtol and runs no CG."""
     nz, ny, Q, B = problem.z_dim, problem.y_dim, problem.Q, problem.B
 
     def factor(d):
@@ -148,12 +157,12 @@ def _dense_newton(problem):
         K[:nz, nz:] = B.T
         K[nz:, :nz] = B
 
-        def solve(r1, p2):
+        def solve(r1, p2, rtol):
             try:
                 sol = np.linalg.solve(K, np.concatenate([r1, p2]))
             except np.linalg.LinAlgError as exc:
                 raise SolverFailureError(f"Newton system is singular: {exc}") from exc
-            return sol[:nz], sol[nz:]
+            return sol[:nz], sol[nz:], 0
 
         return solve
 
@@ -161,13 +170,14 @@ def _dense_newton(problem):
 
 
 def _tv_newton(problem):
-    """factor(d) -> solve(r1, p2) -> (dz, dy) for the split-variable TV problem.
+    """factor(d) -> solve(r1, p2, rtol) -> (dz, dy, cg_iterations) for the
+    split-variable TV problem.
 
     With d split into blocks (d_f, d_hp, d_hm, d_vp, d_vm) and harmonic
     weights w = 1/(1/d+ + 1/d-), all split variables and equality duals
     reduce to closed forms around the image-block SPD solve
-    (A^T A + G) df = rhs, run by CG with the iterate's splu factor of
-    G + diag(A^T A) as preconditioner.
+    (A^T A + G) df = rhs, run by CG to relative tolerance rtol with the
+    iterate's splu factor of G + diag(A^T A) as preconditioner.
     """
     N, d_h, d_v = problem.N, problem.ops.d_h, problem.ops.d_v
     A = problem.A.matrix
@@ -190,15 +200,21 @@ def _tv_newton(problem):
         except RuntimeError as exc:
             raise SolverFailureError(f"preconditioner factorization failed: {exc}") from exc
 
-        def solve(r1, p2):
+        def solve(r1, p2, rtol):
             r1_f, r1_hp, r1_hm, r1_vp, r1_vm = (r1[k * N : (k + 1) * N] for k in range(5))
             rhs_h = p2[:N] - r1_hp / d_hp + r1_hm / d_hm
             rhs_v = p2[N:] - r1_vp / d_vp + r1_vm / d_vm
             rhs_f = -r1_f + d_h.T @ (w_h * rhs_h) + d_v.T @ (w_v * rhs_v)
             op = spla.LinearOperator((N, N), matvec=lambda v: AT @ (A @ v) + G @ v)
             pre = spla.LinearOperator((N, N), matvec=lu.solve)
-            df, info = spla.cg(op, rhs_f, rtol=_CG_RTOL, atol=0.0,
-                               maxiter=_CG_MAX_ITERATIONS, M=pre)
+            iterations = 0
+
+            def count(xk):
+                nonlocal iterations
+                iterations += 1
+
+            df, info = spla.cg(op, rhs_f, rtol=rtol, atol=0.0,
+                               maxiter=_CG_MAX_ITERATIONS, M=pre, callback=count)
             if info > 0:
                 # accept the iterate; pdip_solve checks the Newton residual
                 warnings.warn(f"inner CG hit the iteration cap ({info})")
@@ -206,7 +222,7 @@ def _tv_newton(problem):
             dy_v = w_v * (rhs_v - d_v @ df)
             dz = np.concatenate([df, -(r1_hp + dy_h) / d_hp, -(r1_hm - dy_h) / d_hm,
                                  -(r1_vp + dy_v) / d_vp, -(r1_vm - dy_v) / d_vm])
-            return dz, np.concatenate([dy_h, dy_v])
+            return dz, np.concatenate([dy_h, dy_v]), iterations
 
         return solve
 
@@ -214,14 +230,16 @@ def _tv_newton(problem):
 
 
 def _newton_builder(problem):
-    """The problem's factor(d) -> solve(r1, p2) -> (dz, dy); see `_newton_step`."""
+    """The problem's factor(d) -> solve(r1, p2, rtol) -> (dz, dy, cg_iterations);
+    see `_newton_step`."""
     return (_tv_newton if isinstance(problem, QpProblem) else _dense_newton)(problem)
 
 
-def _newton_step(solve, d, p1, p2, p3):
-    """(dz, dy, dx~) of the reduced saddle system at the barrier diagonal d = x~/z."""
-    dz, dy = solve(p1 - d * p3, p2)
-    return dz, dy, d * (p3 - dz)
+def _newton_step(solve, d, p1, p2, p3, rtol):
+    """(dz, dy, dx~, cg_iterations) of the reduced saddle system at the barrier
+    diagonal d = x~/z, its image block solved by CG to relative tolerance rtol."""
+    dz, dy, iterations = solve(p1 - d * p3, p2, rtol)
+    return dz, dy, d * (p3 - dz), iterations
 
 
 def pdip_solve(problem, config=None):
@@ -269,7 +287,7 @@ def pdip_solve(problem, config=None):
             and mu <= _TOL
         )
         if converged or it == config.max_iterations:
-            history.append((it, mu, r_primal, r_dual, 0.0, 0.0))
+            history.append((it, mu, r_primal, r_dual, 0.0, 0.0, 0, 0))
             break
 
         p1 = r_dual_vec  # c + Qz - B^T y - x~
@@ -279,21 +297,22 @@ def pdip_solve(problem, config=None):
             d = x / z
             solve = factor(d)
             # predictor: mu = 0, no second-order term
-            dz_a, dy_a, dx_a = _newton_step(solve, d, p1, p2, -z)
+            dz_a, dy_a, dx_a, cg_predictor = _newton_step(solve, d, p1, p2, -z,
+                                                          _PREDICTOR_RTOL)
             a_p = min(1.0, _step_to_boundary(z, dz_a))
             a_d = min(1.0, _step_to_boundary(x, dx_a))
             mu_aff = float((z + a_p * dz_a) @ (x + a_d * dx_a)) / nz
             sigma = min(1.0, (max(mu_aff, 0.0) / mu) ** _CENTERING_EXPONENT)
             # corrector with Mehrotra second-order term
             p3 = sigma * mu / x - z - dz_a * dx_a / x
-            dz, dy, dx = _newton_step(solve, d, p1, p2, p3)
+            dz, dy, dx, cg_corrector = _newton_step(solve, d, p1, p2, p3, _CORRECTOR_RTOL)
             # relative residual of the reduced system
             r1 = p1 - d * p3
             res1 = -(problem.apply_Q(dz) + d * dz) + B.T @ dy - r1
             res2 = B @ dz - p2
             rel = np.sqrt(np.linalg.norm(res1) ** 2 + np.linalg.norm(res2) ** 2) / (
                 1.0 + np.sqrt(np.linalg.norm(r1) ** 2 + np.linalg.norm(p2) ** 2))
-            if not np.isfinite(rel) or rel > _CG_RTOL * 1e3:
+            if not np.isfinite(rel) or rel > _NEWTON_RTOL:
                 raise SolverFailureError(f"Newton solve residual {rel:.3e} above tolerance",
                                          residual=rel)
         except SolverFailureError as exc:
@@ -305,7 +324,7 @@ def pdip_solve(problem, config=None):
         z = z + lam_p * dz
         y = y + lam_d * dy
         x = x + lam_d * dx
-        history.append((it, mu, r_primal, r_dual, lam_p, lam_d))
+        history.append((it, mu, r_primal, r_dual, lam_p, lam_d, cg_predictor, cg_corrector))
 
         if not (np.all(z > 0) and np.all(x > 0) and np.all(np.isfinite(z))):
             raise SolverFailureError(
@@ -370,6 +389,6 @@ def reconstruct(A, g_tilde, alpha, config=None):
     report = ConvergenceReport(
         iterations=0, reason="converged", r_primal=0.0, r_dual=r_dual, mu=0.0,
         objective=0.5 * float(residual @ residual),
-        history=[(0, 0.0, 0.0, r_dual, 0.0, 0.0)],
+        history=[(0, 0.0, 0.0, r_dual, 0.0, 0.0, 0, 0)],
     )
     return ImageGrid(problem.n, f), report

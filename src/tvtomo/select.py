@@ -162,11 +162,12 @@ def run_sweep(geom, g_tilde, alphas, resolutions, config=None):
 
 def spread_profile(table):
     """Relative cross-resolution spread (max - min) / mean of TV norms per alpha
-    row: inf for a row with TV 0 at every resolution, which has nothing to
-    compare and so is never stable, and NaN for a row with a failed cell."""
+    row: inf for every row of a table with fewer than two resolutions and for
+    a row with TV 0 at every resolution, which have nothing to compare and so
+    are never stable, and NaN for a row with a failed cell."""
     mean = table.tv.mean(axis=1)
     return np.divide(np.ptp(table.tv, axis=1), mean, out=np.full(mean.shape, np.inf),
-                     where=mean != 0)
+                     where=(mean != 0) & (len(table.resolutions) > 1))
 
 
 def stable_rows(table, tol):
@@ -181,7 +182,8 @@ def select_multiresolution(table, stability_tol=0.05):
 
     Stability of a row is `spread_profile`, (max - min) / mean over the
     resolution columns; the rule returns the smallest alpha with spread <=
-    stability_tol, never a row with TV 0 at every resolution (spread inf).
+    stability_tol, never a row with TV 0 at every resolution and nothing
+    from a table with one resolution (spread inf).
     """
     spreads, stable = stable_rows(table, stability_tol)
     table.require_complete()

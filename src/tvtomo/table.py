@@ -27,7 +27,7 @@ class SweepTable:
     tv: np.ndarray
     residual: np.ndarray
     iterations: np.ndarray = None
-    status: np.ndarray = None  # string array: converged/...
+    status: np.ndarray = None  # object array of CELL_STATUSES
 
     def __post_init__(self):
         self.alphas = np.asarray(self.alphas, dtype=float)
@@ -52,7 +52,13 @@ class SweepTable:
         if self.iterations is None:
             self.iterations = np.zeros(shape, dtype=int)
         if self.status is None:
-            self.status = np.where(np.isnan(self.tv), "absent", "converged").astype(object)
+            self.status = np.where(np.isnan(self.tv), "absent", "converged")
+        self.iterations = np.asarray(self.iterations, dtype=int)
+        self.status = np.asarray(self.status, dtype=object)
+        if self.iterations.shape != shape or self.status.shape != shape:
+            raise ShapeMismatchError(
+                f"table arrays must have shape {shape}, got iterations "
+                f"{self.iterations.shape} and status {self.status.shape}")
 
     @classmethod
     def from_cells(cls, cells):

@@ -138,8 +138,10 @@ class TestPipeline:
                    "--alpha", "1e3", "--angles", "24", "--detectors", "24") == 0
         assert "tv_norm=0, 0 iterations, converged" in capsys.readouterr().out
         lines = (tmp_path / "recon_convergence.csv").read_text().splitlines()
-        assert lines[0] == "iteration,mu,r_primal,r_dual,step_primal,step_dual"
+        assert lines[0] == ("iteration,mu,r_primal,r_dual,step_primal,step_dual,"
+                            "cg_predictor,cg_corrector")
         assert len(lines) == 2
+        assert lines[1].split(",")[-2:] == ["0", "0"]  # the closed form runs no CG
 
     def test_reconstruct_reproducible(self, tmp_path):
         sino_path = self.make_data(tmp_path)
@@ -359,6 +361,17 @@ class TestSweepTableInput:
         path.write_text("alpha,n,tv,residual,iterations,status\n" + "".join(rows))
         for method in ("lcurve", "multires"):
             assert run(tmp_path, "select", "--table", str(path), "--method", method) == 4
+
+    def test_one_resolution_is_not_selected(self, tmp_path, capsys):
+        # one column: no row can be compared across resolutions
+        table = tv.SweepTable([0.01, 0.1, 1.0], [16], [[5.0], [3.0], [1.0]], [[1.0]] * 3)
+        path = tmp_path / "sweep.csv"
+        tv.write_sweep_csv(path, table)
+        assert run(tmp_path, "select", "--table", str(path), "--method", "multires") == 4
+        capsys.readouterr()
+        assert run(tmp_path, "report", "--table", str(path)) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split()[-1] for row in rows] == ["inf"] * 3
 
     def test_malformed_table_is_usage_error(self, tmp_path):
         path = tmp_path / "sweep.csv"

@@ -99,7 +99,7 @@ def assemble_full_kkt(problem, z, x_tilde):
 def newton_step(problem, z, x_tilde, p1, p2, p3):
     """(dz, dy, dx~) of the reduced KKT system at (z, x~), as pdip_solve takes it."""
     d = x_tilde / z
-    return _newton_step(_newton_builder(problem)(d), d, p1, p2, p3)
+    return _newton_step(_newton_builder(problem)(d), d, p1, p2, p3, pdip._CORRECTOR_RTOL)[:3]
 
 
 class TestNewtonSystem:
@@ -278,6 +278,29 @@ class TestReconstruct:
         assert len(cg_calls) == 2 * solved
         assert [row[0] for row in report.history] == list(range(rows))
 
+    def test_history_counts_each_cg_iteration(self, small_geom, monkeypatch):
+        """The history's CG columns agree with a counting callback wrapped
+        around the solver's own, as a tracer installs it."""
+        A = tv.assemble_system_matrix(small_geom, 8)
+        g = tv.forward_project(A, tv.render_phantom(tv.Phantom.disc(r=0.3), 8))
+        counts, real = [], spla.cg
+
+        def counting_cg(*args, callback=None, **kwargs):
+            counts.append(0)
+
+            def outer(xk):
+                counts[-1] += 1
+                callback(xk)
+
+            return real(*args, callback=outer, **kwargs)
+
+        monkeypatch.setattr(spla, "cg", counting_cg)
+        _, report = tv.reconstruct(A, g, 0.1)
+        assert report.reason == "converged"
+        rows = [row[6:] for row in report.history]
+        assert [c for row in rows[:-1] for c in row] == counts
+        assert min(counts) > 0 and rows[-1] == (0, 0)
+
     @staticmethod
     def fine_problem():
         geom = tv.ScanGeometry(num_angles=12, num_detector_pixels=64)
@@ -300,6 +323,48 @@ class TestReconstruct:
         f_colamd, report_colamd = tv.reconstruct(A, g, 0.1)
         assert report.iterations == report_colamd.iterations
         assert tv.tv_norm(f) == pytest.approx(tv.tv_norm(f_colamd), rel=1e-9)
+
+    def test_inexact_solves_keep_the_solution(self, monkeypatch):
+        """Against both CG solves at 1e-9: the same outer iterations and
+        solution, with fewer predictor CG iterations."""
+        A, g = self.fine_problem()
+        f, report = tv.reconstruct(A, g, 0.1)
+        monkeypatch.setattr(pdip, "_PREDICTOR_RTOL", 1e-9)
+        monkeypatch.setattr(pdip, "_CORRECTOR_RTOL", 1e-9)
+        f_tight, report_tight = tv.reconstruct(A, g, 0.1)
+        assert report.reason == report_tight.reason == "converged"
+        assert report.iterations == report_tight.iterations
+        assert tv.tv_norm(f) == pytest.approx(tv.tv_norm(f_tight), rel=1e-8)
+        assert report.objective == pytest.approx(report_tight.objective, rel=1e-8)
+        predictor = sum(row[6] for row in report.history)
+        assert predictor < sum(row[6] for row in report_tight.history)
+
+    def test_newton_residual_limit(self, small_geom, monkeypatch):
+        """A direction off by 1e-3 relative fails the corrector's residual check."""
+        assert pdip._NEWTON_RTOL == 1e-6
+        A = tv.assemble_system_matrix(small_geom, 8)
+        g = tv.forward_project(A, tv.render_phantom(tv.Phantom.disc(r=0.3), 8))
+        real = pdip._newton_builder
+
+        def perturbed_builder(problem):
+            factor = real(problem)
+
+            def perturbed_factor(d):
+                solve = factor(d)
+
+                def perturbed_solve(r1, p2, rtol):
+                    dz, dy, iterations = solve(r1, p2, rtol)
+                    return dz * (1 + 1e-3), dy, iterations
+
+                return perturbed_solve
+
+            return perturbed_factor
+
+        monkeypatch.setattr(pdip, "_newton_builder", perturbed_builder)
+        with pytest.raises(SolverFailureError, match="residual") as info:
+            tv.reconstruct(A, g, 0.1)
+        assert info.value.residual > pdip._NEWTON_RTOL
+        assert info.value.report.reason == "solver_failure"
 
     def test_preconditioner_factors_a_rounded_singular_laplacian(self):
         """At alpha=1e5, n=64 the TV weights reach 3e14 and G + diag(A^T A)
@@ -396,7 +461,7 @@ class TestConstantImageClosedForm:
         assert f.values.tobytes() == np.full(36, c_star).tobytes()
         assert tv.tv_norm(f) == 0.0
         assert (report.reason, report.iterations, report.mu) == ("converged", 0, 0.0)
-        assert report.history == [(0, 0.0, report.r_primal, report.r_dual, 0.0, 0.0)]
+        assert report.history == [(0, 0.0, report.r_primal, report.r_dual, 0.0, 0.0, 0, 0)]
         assert report.r_dual <= 1e-12
         f_ipm, report_ipm = tv.pdip_solve(tv.build_qp(A, g, alpha))
         assert report_ipm.iterations > 0

@@ -121,6 +121,14 @@ class TestMultiResolution:
         spreads = exc.value.diagnostics["spreads"]
         assert np.all(spreads[:2] > 0.4) and np.isinf(spreads[2])
 
+    def test_one_resolution_is_never_stable(self):
+        """With one column there is nothing to compare: every spread is inf."""
+        table = SweepTable([0.01, 0.1, 1.0], [16], [[5.0], [3.0], [1.0]], [[1.0]] * 3)
+        assert np.all(np.isinf(spread_profile(table)))
+        with pytest.raises(NoSelectionError) as exc:
+            tv.select_multiresolution(table)
+        assert exc.value.diagnostics["stable"].tolist() == [False, False, False]
+
     def test_no_stable_row_raises(self):
         tv_values = np.column_stack([np.full(4, 1.0), np.full(4, 2.0)])
         table = make_table(tv_values, resolutions=(16, 32))
@@ -518,6 +526,21 @@ class TestRunSweep:
         table = make_table(TV_LOW_NOISE)
         with pytest.raises(tv.ResolutionMismatchError):
             table.column(48)
+
+    def test_list_status_and_iterations_become_arrays(self):
+        table = SweepTable([0.1, 1.0], [8, 16], [[2.0, 2.0], [1.0, 1.0]], [[1.0] * 2] * 2,
+                           iterations=[[3, 4], [5, 6]], status=[["converged"] * 2] * 2)
+        assert table.status.dtype == object and table.status.shape == (2, 2)
+        assert table.iterations.dtype.kind == "i" and table.iterations[1, 0] == 5
+        table.require_complete()
+        assert tv.select_multiresolution(table)[0] == 0.1
+
+    @pytest.mark.parametrize("field, value", [
+        ("iterations", [[3, 4]]), ("status", ["converged"] * 4),
+        ("status", [["converged"] * 3] * 2)])
+    def test_iterations_and_status_must_match_the_grid(self, field, value):
+        with pytest.raises(tv.ShapeMismatchError, match=field):
+            SweepTable([0.1, 1.0], [8, 16], np.ones((2, 2)), np.ones((2, 2)), **{field: value})
 
     @pytest.mark.parametrize("resolutions", [(16, 8), (8, 8)])
     def test_table_resolutions_must_ascend(self, resolutions):
