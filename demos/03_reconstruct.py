@@ -4,9 +4,9 @@ The nonsmooth objective is rewritten as a bound-constrained QP by
 splitting the horizontal and vertical differences into positive and
 negative parts, then solved by a Mehrotra predictor-corrector
 interior-point method. The convergence report records the
-complementarity measure mu, the KKT residuals and the inner CG iterations
-of the predictor and corrector solves per iteration; mu should fall
-superlinearly in the final iterations.
+complementarity measure mu, the KKT residuals, the inner CG iterations
+of the predictor and corrector solves and the corrector's Newton residual
+per iteration; mu should fall superlinearly in the final iterations.
 """
 
 import numpy as np
@@ -24,9 +24,10 @@ f, report = tv.reconstruct(A, g, alpha=0.1)
 
 print(f"terminated: {report.reason} after {report.iterations} iterations")
 print(f"objective {report.objective:.6e}, mu {report.mu:.2e}")
-print("\n  it        mu      r_primal    r_dual   step_p  step_d   cg_p  cg_c")
-for it, mu, rp, rd, sp, sd, cg_p, cg_c in report.history:
-    print(f"  {it:2d}  {mu:9.2e}  {rp:9.2e}  {rd:9.2e}   {sp:.3f}   {sd:.3f}  {cg_p:5d} {cg_c:5d}")
+print("\n  it        mu      r_primal    r_dual   step_p  step_d   cg_p  cg_c  newton_res")
+for it, mu, rp, rd, sp, sd, cg_p, cg_c, res in report.history:
+    print(f"  {it:2d}  {mu:9.2e}  {rp:9.2e}  {rd:9.2e}   {sp:.3f}   {sd:.3f}  {cg_p:5d} {cg_c:5d}"
+          f"   {res:9.2e}")
 
 err = np.linalg.norm(f.values - phantom.values) / np.linalg.norm(phantom.values)
 print(f"\nrelative L2 error vs phantom: {err:.2%}")

@@ -139,9 +139,10 @@ class TestPipeline:
         assert "tv_norm=0, 0 iterations, converged" in capsys.readouterr().out
         lines = (tmp_path / "recon_convergence.csv").read_text().splitlines()
         assert lines[0] == ("iteration,mu,r_primal,r_dual,step_primal,step_dual,"
-                            "cg_predictor,cg_corrector")
+                            "cg_predictor,cg_corrector,newton_residual")
         assert len(lines) == 2
-        assert lines[1].split(",")[-2:] == ["0", "0"]  # the closed form runs no CG
+        # the closed form runs no CG and solves no Newton system
+        assert lines[1].split(",")[-3:] == ["0", "0", "0.0"]
 
     def test_reconstruct_reproducible(self, tmp_path):
         sino_path = self.make_data(tmp_path)

@@ -297,7 +297,7 @@ class TestReconstruct:
         monkeypatch.setattr(spla, "cg", counting_cg)
         _, report = tv.reconstruct(A, g, 0.1)
         assert report.reason == "converged"
-        rows = [row[6:] for row in report.history]
+        rows = [row[6:8] for row in report.history]
         assert [c for row in rows[:-1] for c in row] == counts
         assert min(counts) > 0 and rows[-1] == (0, 0)
 
@@ -323,6 +323,32 @@ class TestReconstruct:
         f_colamd, report_colamd = tv.reconstruct(A, g, 0.1)
         assert report.iterations == report_colamd.iterations
         assert tv.tv_norm(f) == pytest.approx(tv.tv_norm(f_colamd), rel=1e-9)
+
+    def test_preconditioner_factor_options_keep_the_solution(self, monkeypatch):
+        """Unrelaxed supernodes (relax=1, panel_size=10) against SuperLU's
+        defaults: the same fill at every iterate and the same solution."""
+        A, g = self.fine_problem()
+        factors = self.record_calls(monkeypatch, "splu")
+        f, report = tv.reconstruct(A, g, 0.1)
+        monkeypatch.undo()
+        factors_default = self.record_calls(monkeypatch, "splu", relax=10, panel_size=20)
+        f_default, report_default = tv.reconstruct(A, g, 0.1)
+        assert report.reason == report_default.reason == "converged"
+        assert report.iterations == report_default.iterations
+        assert ([lu.L.nnz + lu.U.nnz for lu in factors]
+                == [lu.L.nnz + lu.U.nnz for lu in factors_default])
+        assert tv.tv_norm(f) == pytest.approx(tv.tv_norm(f_default), rel=1e-9)
+        assert report.objective == pytest.approx(report_default.objective, rel=1e-9)
+
+    def test_history_records_the_newton_residual(self):
+        """Each solved row holds the corrector's reduced-system residual, at
+        most the limit; the last row, which solves nothing, reads 0."""
+        A, g = self.fine_problem()
+        _, report = tv.reconstruct(A, g, 0.1)
+        column = pdip.HISTORY_COLUMNS.index("newton_residual")
+        residuals = [row[column] for row in report.history]
+        assert all(0.0 < r <= pdip._NEWTON_RTOL for r in residuals[:-1])
+        assert residuals[-1] == 0.0
 
     def test_inexact_solves_keep_the_solution(self, monkeypatch):
         """Against both CG solves at 1e-9: the same outer iterations and
@@ -461,7 +487,7 @@ class TestConstantImageClosedForm:
         assert f.values.tobytes() == np.full(36, c_star).tobytes()
         assert tv.tv_norm(f) == 0.0
         assert (report.reason, report.iterations, report.mu) == ("converged", 0, 0.0)
-        assert report.history == [(0, 0.0, report.r_primal, report.r_dual, 0.0, 0.0, 0, 0)]
+        assert report.history == [(0, 0.0, report.r_primal, report.r_dual, 0.0, 0.0, 0, 0, 0.0)]
         assert report.r_dual <= 1e-12
         f_ipm, report_ipm = tv.pdip_solve(tv.build_qp(A, g, alpha))
         assert report_ipm.iterations > 0
