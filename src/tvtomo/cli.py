@@ -27,7 +27,7 @@ from .errors import (
 )
 from .geometry import ScanGeometry, assemble_system_matrix, forward_project, usable_cpus
 from .grid import tv_norm
-from .pdip import HISTORY_COLUMNS, SolverConfig, reconstruct
+from .pdip import HISTORY_COLUMNS, reconstruct
 from .phantoms import NoiseSpec, Phantom, add_noise, render_phantom
 from .select import (
     BLAS_THREAD_ENV,
@@ -63,11 +63,11 @@ def _write_manifest(args, extra):
     fileio.write_config(_out(args, "manifest.txt"), entries)
 
 
-def _from_args(cls, section, args):
-    """Build ``cls`` from the ``args.<section>_<field>`` flags that were given;
-    every other field keeps its dataclass default."""
-    values = {f.name: getattr(args, f"{section}_{f.name}", None) for f in fields(cls)}
-    return cls(**{name: v for name, v in values.items() if v is not None})
+def _geometry_from_args(args):
+    """Build a ScanGeometry from the ``args.geometry_<field>`` flags that were
+    given; every other field keeps its dataclass default."""
+    values = {f.name: getattr(args, f"geometry_{f.name}", None) for f in fields(ScanGeometry)}
+    return ScanGeometry(**{name: v for name, v in values.items() if v is not None})
 
 
 def _comma_list(cast):
@@ -80,10 +80,6 @@ def _comma_list(cast):
 def _pair(text):
     x, y = text.split(":")
     return float(x), float(y)
-
-
-def _add_solver_flags(p):
-    p.add_argument("--solver-max-iterations", dest="solver_max_iterations", type=int)
 
 
 def _add_geometry_flags(p):
@@ -129,7 +125,6 @@ def _build_parser():
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--name", default="recon")
     _add_geometry_flags(p)
-    _add_solver_flags(p)
 
     p = sub.add_parser("sweep", help="reconstruct over an (alpha, resolution) grid")
     p.add_argument("--sino", required=True)
@@ -139,7 +134,6 @@ def _build_parser():
                    help="comma-separated n values")
     p.add_argument("--name", default="sweep")
     _add_geometry_flags(p)
-    _add_solver_flags(p)
 
     p = sub.add_parser("select", help="choose alpha from a sweep table")
     p.add_argument("--table", required=True, help="sweep CSV file")
@@ -182,7 +176,7 @@ def _cmd_phantom(args):
 
 def _cmd_project(args):
     img = fileio.read_image(args.image)
-    geom = _from_args(ScanGeometry, "geometry", args)
+    geom = _geometry_from_args(args)
     A = assemble_system_matrix(geom, img.n)
     sino = forward_project(A, img)
     path = _out(args, f"{args.name}.sino")
@@ -212,11 +206,10 @@ def _cmd_noise(args):
 
 
 def _cmd_reconstruct(args):
-    cfg = _from_args(SolverConfig, "solver", args)
-    geom = _from_args(ScanGeometry, "geometry", args)
+    geom = _geometry_from_args(args)
     sino = fileio.read_sinogram(args.sino, geometry=geom)
     A = assemble_system_matrix(geom, args.n)
-    img, report = reconstruct(A, sino, args.alpha, config=cfg)
+    img, report = reconstruct(A, sino, args.alpha)
     img_path = _out(args, f"{args.name}.img")
     fileio.write_image(img_path, img)
     fileio.write_pgm(_out(args, f"{args.name}.pgm"), img)
@@ -240,10 +233,9 @@ def _cmd_reconstruct(args):
 
 
 def _cmd_sweep(args):
-    cfg = _from_args(SolverConfig, "solver", args)
-    geom = _from_args(ScanGeometry, "geometry", args)
+    geom = _geometry_from_args(args)
     sino = fileio.read_sinogram(args.sino, geometry=geom)
-    table = run_sweep(geom, sino, args.alphas, args.resolutions, config=cfg)
+    table = run_sweep(geom, sino, args.alphas, args.resolutions)
     path = _out(args, f"{args.name}.csv")
     fileio.write_sweep_csv(path, table)
     _write_manifest(args, {
@@ -267,7 +259,7 @@ def _cmd_select(args):
     elif args.method == "scurve":
         if not args.prior or not args.sino:
             raise FormatError("select --method scurve needs --prior files and --sino")
-        geom = _from_args(ScanGeometry, "geometry", args)
+        geom = _geometry_from_args(args)
         sino = fileio.read_sinogram(args.sino, geometry=geom)
         priors = [fileio.read_image(p) for p in args.prior]
         A = assemble_system_matrix(geom, n)

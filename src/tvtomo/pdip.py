@@ -23,11 +23,9 @@ A^T A applied matrix-free as f -> A^T (A f).
 G + diag(A^T A) is symmetric, so splu orders its columns by minimum degree
 on A^T+A (MMD_AT_PLUS_A), which fills about half as much as the default
 COLAMD, and runs with relax=1, panel_size=10 in place of SuperLU's default
-supernode relaxation (relax=10, panel_size=20): the fill is the same, and
-the reason is measured, not inferred.  On matrices from criterion 7's
-iterates at n=64, 128 and 256, with the BLAS on one thread, one
-factorization took 0.62-0.71 of the default's time (22-26 ms instead of
-31-37 ms at n=128) and one preconditioner apply 0.80-0.93 of it.
+supernode relaxation (relax=10, panel_size=20): at the same fill, both the
+factorization and its solves as the preconditioner measured faster on
+this 5-point, minimum-degree-ordered matrix.
 `_tv_newton` builds A^T and diag(A^T A) once per solve; its
 factor(d) factors G + diag(A^T A) once per iterate and returns the
 solve(r1, p2, rtol) -> (dz, dy, cg_iterations) that both solves of the
@@ -39,8 +37,8 @@ term, so its CG stops at relative tolerance 1e-5, and the corrector's at
 residual of 1e-6, or the solve fails with SolverFailureError.  Each
 history row records the CG iterations of its predictor and corrector
 solves and that residual, newton_residual.
-SolverConfig holds the one setting, the outer iteration cap; it is frozen,
-and an out-of-range value raises ParameterError (CLI exit 2).
+The solver has no settings: the outer iteration cap, 100, is a constant
+like every tolerance above.
 
 `reconstruct` first checks the TV-zero regime.  With a1 = A 1, the best
 constant fit is c* = <a1, g> / |a1|^2, and r = A^T (g - c* a1) sums to 0.
@@ -60,7 +58,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ParameterError, ShapeMismatchError, SolverFailureError, check_count
+from .errors import ShapeMismatchError, SolverFailureError
 from .grid import ImageGrid
 from .qp import QpProblem, build_qp
 
@@ -80,16 +78,15 @@ _CORRECTOR_RTOL = 1e-8  # CG tolerance of the corrector solve
 _NEWTON_RTOL = 1e-6  # limit of the corrector's reduced-system residual
 _CG_MAX_ITERATIONS = 2000  # cap of each CG solve; a hit warns, and the residual check decides
 _TOL = 1e-8  # relative primal and dual residuals and the gap mu at convergence
+_MAX_ITERATIONS = 100  # outer iterations; at the cap the report's reason is max_iterations
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    max_iterations: int = 100
-    # accepted and ignored: benchmarks/workloads.py warm_up still passes it
+    # no fields, and `reconstruct` ignores it: the benchmark's workloads and
+    # tests still pass SolverConfig(backend=...) as its config, and both go
+    # when they stop
     backend: InitVar[str] = "auto"
-
-    def __post_init__(self, backend):
-        check_count("max_iterations", self.max_iterations, 0, ParameterError)
 
 
 # the fields of each ConvergenceReport.history row, in order
@@ -250,14 +247,13 @@ def _newton_step(solve, d, p1, p2, p3, rtol):
     return dz, dy, d * (p3 - dz), iterations
 
 
-def pdip_solve(problem, config=None):
+def pdip_solve(problem):
     """Run the predictor-corrector iteration to optimality.
 
     Returns (solution, ConvergenceReport).  For the TV QpProblem the
     solution is the reconstructed ImageGrid (first N entries of z); for a
     GenericQp it is the full primal vector z.
     """
-    config = config or SolverConfig()
     nz, ny = problem.z_dim, problem.y_dim
 
     if isinstance(problem, QpProblem):
@@ -281,7 +277,7 @@ def pdip_solve(problem, config=None):
             mu=mu, objective=objective, history=history,
         )
 
-    for it in range(config.max_iterations + 1):
+    for it in range(_MAX_ITERATIONS + 1):
         Qz = problem.apply_Q(z)
         r_dual_vec = Qz + c - B.T @ y - x
         r_primal_vec = B @ z - b
@@ -294,7 +290,7 @@ def pdip_solve(problem, config=None):
             and r_dual / norm_c <= _TOL
             and mu <= _TOL
         )
-        if converged or it == config.max_iterations:
+        if converged or it == _MAX_ITERATIONS:
             history.append((it, mu, r_primal, r_dual, 0.0, 0.0, 0, 0, 0.0))
             break
 
@@ -387,11 +383,13 @@ def _constant_image_certificate(problem):
 def reconstruct(A, g_tilde, alpha, config=None):
     """build_qp -> pdip_solve on one system matrix, or, when alpha is at or
     above `_constant_image_certificate`'s bound, the constant image c* 1 in
-    closed form: a converged report of 0 iterations and TV exactly 0."""
+    closed form: a converged report of 0 iterations and TV exactly 0.
+
+    ``config`` is accepted and ignored, as `SolverConfig` is."""
     problem = build_qp(A, g_tilde, alpha)
     c_star, bound, r_dual = _constant_image_certificate(problem)
     if not problem.alpha >= bound:
-        return pdip_solve(problem, config)
+        return pdip_solve(problem)
     f = np.full(problem.N, c_star)
     residual = problem.A.matrix @ f - problem.g
     # D (c* 1) is exactly 0: each row of D_h and D_v is one -1/n and one +1/n

@@ -53,13 +53,13 @@ class SCurvePrior:
         check_real("s_hat", self.s_hat, DegeneratePriorError)
 
 
-def _solve_cell(g_tilde, config, alpha, A):
+def _solve_cell(g_tilde, alpha, A):
     """One cell's (tv, residual, iterations, reason) and the warnings its
     solve raised, as picklable (message, category, filename, lineno)."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            f, report = reconstruct(A, g_tilde, alpha, config=config)
+            f, report = reconstruct(A, g_tilde, alpha)
             tv = tv_norm(f)
             res = float(np.linalg.norm(A.matrix @ f.values - g_tilde.data))
             cell = tv, res, report.iterations, report.reason
@@ -115,7 +115,7 @@ def _default_jobs():
     return max(1, cpus // blas_threads)
 
 
-def run_sweep(geom, g_tilde, alphas, resolutions, config=None):
+def run_sweep(geom, g_tilde, alphas, resolutions):
     """Reconstruct over the full (alpha, resolution) grid.
 
     The sinogram is resolution-independent data: the same g_tilde feeds
@@ -144,7 +144,7 @@ def run_sweep(geom, g_tilde, alphas, resolutions, config=None):
 
     matrices = {n: assemble_system_matrix(geom, n) for n in resolutions}
     keys = [(alpha, n) for n in reversed(resolutions) for alpha in alphas]
-    solve = partial(_solve_cell, g_tilde, config)
+    solve = partial(_solve_cell, g_tilde)
     # the pool forks all its workers at the first submit: no more than cells
     workers = min(_default_jobs(), len(keys))
     cells = []

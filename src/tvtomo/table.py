@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoSelectionError, ResolutionMismatchError, ShapeMismatchError
+from .errors import NoSelectionError, ResolutionMismatchError, ShapeMismatchError, check_count
 
 __all__ = ["SweepTable"]
 
@@ -53,12 +53,20 @@ class SweepTable:
             self.iterations = np.zeros(shape, dtype=int)
         if self.status is None:
             self.status = np.where(np.isnan(self.tv), "absent", "converged")
-        self.iterations = np.asarray(self.iterations, dtype=int)
+        # as objects, so a float or bool count is refused, not truncated
+        iterations = np.asarray(self.iterations, dtype=object)
         self.status = np.asarray(self.status, dtype=object)
-        if self.iterations.shape != shape or self.status.shape != shape:
+        if iterations.shape != shape or self.status.shape != shape:
             raise ShapeMismatchError(
                 f"table arrays must have shape {shape}, got iterations "
-                f"{self.iterations.shape} and status {self.status.shape}")
+                f"{iterations.shape} and status {self.status.shape}")
+        for count in iterations.flat:
+            check_count("iterations", count, 0, ShapeMismatchError)
+        for status in self.status.flat:
+            if status not in CELL_STATUSES:
+                raise ShapeMismatchError(
+                    f"status {status!r} is not one of {', '.join(CELL_STATUSES)}")
+        self.iterations = iterations.astype(int)
 
     @classmethod
     def from_cells(cls, cells):
@@ -71,7 +79,7 @@ class SweepTable:
         resolutions = sorted({n for _, n in cells})
         shape = (len(alphas), len(resolutions))
         tv, residual = np.full(shape, np.nan), np.full(shape, np.nan)
-        iterations, status = np.zeros(shape, dtype=int), np.full(shape, "absent", dtype=object)
+        iterations, status = np.zeros(shape, dtype=object), np.full(shape, "absent", dtype=object)
         for (alpha, n), cell in cells.items():
             ij = alphas.index(alpha), resolutions.index(n)
             tv[ij], residual[ij], iterations[ij], status[ij] = cell

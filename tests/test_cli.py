@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import tvtomo as tv
+from tvtomo import pdip
 from tvtomo.cli import main
 
 
@@ -253,15 +254,16 @@ class TestPipeline:
 
 
 class TestConfigMerging:
-    """SolverConfig and ScanGeometry come from their flags over the dataclass defaults."""
+    """ScanGeometry comes from its flags over the dataclass defaults; the
+    solver takes no flags."""
 
-    def test_solver_flag_sets_iteration_cap(self, tmp_path):
+    def test_solver_flag_sets_iteration_cap(self, tmp_path, monkeypatch):
         assert run(tmp_path, "phantom", "--kind", "disc", "--n", "8") == 0
         assert run(tmp_path, "project", "--image", str(tmp_path / "phantom.img"),
                    "--angles", "12", "--detectors", "12") == 0
+        monkeypatch.setattr(pdip, "_MAX_ITERATIONS", 2)
         code = run(tmp_path, "reconstruct", "--sino", str(tmp_path / "sinogram.sino"),
-                   "--n", "8", "--alpha", "0.1", "--solver-max-iterations", "2",
-                   "--angles", "12", "--detectors", "12")
+                   "--n", "8", "--alpha", "0.1", "--angles", "12", "--detectors", "12")
         # two iterations cannot converge: solver failure exit code
         assert code == 3
 
@@ -272,6 +274,7 @@ class TestConfigMerging:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("solver.max_iterations=2\n")
         for flags in (["--config", str(cfg)],  # no config file route: an unknown flag
+                      ["--solver-max-iterations", "2"],  # the cap is a constant
                       ["--solver-max-iterations", "abc"],
                       ["--solver-max-iterations", "-1"],
                       ["--angles", "abc"]):

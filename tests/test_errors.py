@@ -28,9 +28,8 @@ A = tv.assemble_system_matrix(GEOM, 4)
 G = tv.forward_project(A, tv.render_phantom(tv.Phantom.disc(r=0.25), 4))
 
 
-# more bool and string cases: test_non_integer_iteration_caps_rejected,
-# test_counts_must_be_integers, test_bad_seed_rejected, test_non_finite_level_rejected
-# and test_bad_stability_tol_rejected
+# more bool and string cases: test_counts_must_be_integers, test_bad_seed_rejected,
+# test_non_finite_level_rejected and test_bad_stability_tol_rejected
 @pytest.mark.parametrize("error, call", [
     (InvalidGeometryError, lambda: tv.ScanGeometry(detector_extent="1.4")),
     (InvalidGeometryError, lambda: tv.ScanGeometry(mode="fan", source_radius="2",
@@ -71,6 +70,13 @@ G = tv.forward_project(A, tv.render_phantom(tv.Phantom.disc(r=0.25), 4))
                                                [[-np.inf], [1.0]])),
     (ShapeMismatchError, lambda: tv.SweepTable.from_cells(
         {(1.0, 8): (np.inf, 1.0, 3, "converged")})),
+    (ShapeMismatchError, lambda: tv.SweepTable([1.0], [8], [[1.0]], [[1.0]], iterations=[[-1]])),
+    (ShapeMismatchError, lambda: tv.SweepTable([1.0], [8], [[1.0]], [[1.0]], iterations=[[2.7]])),
+    (ShapeMismatchError, lambda: tv.SweepTable([1.0], [8], [[1.0]], [[1.0]],
+                                               iterations=[[True]])),
+    (ShapeMismatchError, lambda: tv.SweepTable.from_cells(
+        {(1.0, 8): (1.0, 1.0, 2.7, "converged")})),
+    (ShapeMismatchError, lambda: tv.SweepTable([1.0], [8], [[1.0]], [[1.0]], status=[["bogus"]])),
     (ParameterError, lambda: tv.Phantom(kind="disc")),
     (ParameterError, lambda: tv.Phantom(kind="nested-shells", params={"shells": [(0.3, 1.0)]})),
     (ParameterError, lambda: tv.Phantom(kind="piecewise-polygon")),
@@ -89,7 +95,8 @@ G = tv.forward_project(A, tv.render_phantom(tv.Phantom.disc(r=0.25), 4))
         "shells-increasing", "shells-outside", "polygon-two-vertices", "qp-data-length",
         "table-shape", "table-alpha-zero", "table-alphas-descending",
         "table-tv-inf", "table-tv-negative", "table-residual-inf", "table-residual-negative",
-        "table-from-cells-tv-inf",
+        "table-from-cells-tv-inf", "table-iterations-negative", "table-iterations-float",
+        "table-iterations-bool", "table-from-cells-iterations-float", "table-status-unknown",
         "phantom-disc-no-params", "phantom-shells-no-center", "phantom-polygon-no-params",
         "phantom-disc-polygon-params",
         "qp-Q-shape", "qp-B-shape", "qp-b-length", "qp-b-without-B"])

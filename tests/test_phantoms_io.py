@@ -7,6 +7,7 @@ import pytest
 
 import tvtomo as tv
 from tvtomo.errors import FormatError, ParameterError
+from tvtomo.table import CELL_STATUSES
 
 
 class TestPhantoms:
@@ -306,6 +307,20 @@ class TestSweepCsv:
         mask = ~np.isnan(tvv)
         assert np.array_equal(back.tv[mask], tvv[mask])
         assert np.isnan(back.tv[2, 1])
+
+    def test_every_status_round_trips(self, tmp_path):
+        status = np.reshape(CELL_STATUSES, (2, 2))
+        table = tv.SweepTable(
+            alphas=[0.1, 1.0 / 3.0], resolutions=[8, 16],
+            tv=[[np.pi, 2.0], [np.nan, np.nan]], residual=[[0.5, 1.0 / 7.0], [np.nan, np.nan]],
+            iterations=[[12, 100], [4, 0]], status=status)
+        path = tmp_path / "sweep.csv"
+        tv.write_sweep_csv(path, table)
+        back = tv.read_sweep_csv(path)
+        assert back.resolutions == table.resolutions
+        for name in ("alphas", "tv", "residual", "iterations"):
+            assert getattr(back, name).tobytes() == getattr(table, name).tobytes(), name
+        assert back.status.tolist() == status.tolist()
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "sweep.csv"

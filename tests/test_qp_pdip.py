@@ -189,13 +189,14 @@ class TestPdipSolve:
         assert report.r_dual / (1 + np.linalg.norm(problem.c)) <= 10 * _TOL
         assert report.mu <= 10 * _TOL
 
-    def test_never_returns_nan(self):
+    def test_never_returns_nan(self, monkeypatch):
         _, _, _, _, problem = make_tv_instance(n=4, num_angles=4, alpha=10.0, seed=6)
         img, _ = tv.pdip_solve(problem)
         assert np.all(np.isfinite(img.values))
         assert np.all(img.values > 0)
         # no iteration: the starting point, max(1, max|g|) in every pixel
-        img, report = tv.pdip_solve(problem, tv.SolverConfig(max_iterations=0))
+        monkeypatch.setattr(pdip, "_MAX_ITERATIONS", 0)
+        img, report = tv.pdip_solve(problem)
         assert (report.reason, report.iterations) == ("max_iterations", 0)
         start = max(1.0, float(np.abs(problem.g).max()))
         assert start == 1.0 and np.all(img.values == start)
@@ -224,17 +225,11 @@ class TestReconstruct:
         assert info.value.residual is not None
         assert info.value.report.reason == "solver_failure"
 
-    @pytest.mark.parametrize("cap", [2.5, 10.0, float("nan"), "5", True, np.True_], ids=[
-        "outer-2.5", "outer-10.0", "outer-nan", "outer-str", "outer-bool", "outer-np.bool"])
-    def test_non_integer_iteration_caps_rejected(self, cap):
-        with pytest.raises(ParameterError, match="integers"):
-            tv.SolverConfig(max_iterations=cap)
-
-    def test_numpy_integer_iteration_caps_accepted(self, small_geom):
+    def test_iteration_cap_stops_with_max_iterations(self, small_geom, monkeypatch):
         A = tv.assemble_system_matrix(small_geom, 8)
         g = tv.forward_project(A, tv.render_phantom(tv.Phantom.disc(r=0.3), 8))
-        config = tv.SolverConfig(max_iterations=np.int64(3))
-        _, report = tv.reconstruct(A, g, 0.1, config=config)
+        monkeypatch.setattr(pdip, "_MAX_ITERATIONS", 3)
+        _, report = tv.reconstruct(A, g, 0.1)
         assert (report.iterations, report.reason) == (3, "max_iterations")
 
     @staticmethod
