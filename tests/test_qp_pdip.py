@@ -213,6 +213,20 @@ class TestPdipSolve:
         assert _step_to_boundary(np.array([1.0, 1.0]), np.array([1.0, 1.0])) == np.inf
         assert _step_to_boundary(np.array([1.0, 2.0]), np.array([-2.0, -1.0])) == 0.5
 
+    def test_step_to_boundary_matches_the_masked_formula(self, rng):
+        """Against min(-v[dv < 0] / dv[dv < 0]); zeros and -0.0 in dv bound nothing."""
+        for _ in range(50):
+            v = rng.uniform(1e-12, 1e3, size=40)
+            dv = rng.normal(scale=10.0 ** rng.uniform(-6, 6), size=40)
+            dv[rng.integers(40, size=5)] = 0.0
+            dv[rng.integers(40, size=5)] = -0.0
+            neg = dv < 0
+            assert _step_to_boundary(v, dv) == np.min(-v[neg] / dv[neg])
+        v = np.ones(4)
+        assert _step_to_boundary(v, np.array([0.0, -0.0, 1.0, 0.0])) == np.inf
+        assert _step_to_boundary(v, np.array([-0.0, -0.0, -0.0, -0.0])) == np.inf
+        assert _step_to_boundary(v, np.array([-0.0, -4.0, 0.0, 2.0])) == 0.25
+
 
 class TestReconstruct:
     def test_cg_cap_hit_fails_with_report(self, small_geom, monkeypatch):
@@ -360,6 +374,23 @@ class TestReconstruct:
         predictor = sum(row[6] for row in report.history)
         assert predictor < sum(row[6] for row in report_tight.history)
 
+    def test_small_alpha_inexact_solves_keep_the_solution(self, monkeypatch):
+        """At alpha=1e-3, where TV weights spread widest and a corrector at 1e-6
+        has changed the outer iterations, the shipped tolerances against both CG
+        solves at 1e-9: noise-free data keeps the outer iterations and the
+        solution to 1e-8; 5% noise keeps the outer iterations and TV to 1e-6."""
+        A, g = self.fine_problem()
+        noisy = tv.add_noise(g, tv.NoiseSpec(relative_level=0.05, seed=1))
+        runs = [tv.reconstruct(A, data, 1e-3) for data in (g, noisy)]
+        monkeypatch.setattr(pdip, "_PREDICTOR_RTOL", 1e-9)
+        monkeypatch.setattr(pdip, "_CORRECTOR_RTOL", 1e-9)
+        tight = [tv.reconstruct(A, data, 1e-3) for data in (g, noisy)]
+        for (f, report), (f_tight, report_tight), rel in zip(runs, tight, (1e-8, 1e-6)):
+            assert report.reason == report_tight.reason == "converged"
+            assert report.iterations == report_tight.iterations
+            assert tv.tv_norm(f) == pytest.approx(tv.tv_norm(f_tight), rel=rel)
+        assert runs[0][1].objective == pytest.approx(tight[0][1].objective, rel=1e-8)
+
     def test_newton_residual_limit(self, small_geom, monkeypatch):
         """A direction off by 1e-3 relative fails the corrector's residual check."""
         assert pdip._NEWTON_RTOL == 1e-6
@@ -405,6 +436,39 @@ class TestReconstruct:
                              capture_output=True, text=True, timeout=300)
         assert run.returncode == 0, run.stderr
         assert run.stdout.split() == ["converged"]
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_refilled_preconditioner_matches_the_sparse_algebra(self, rng, monkeypatch, n):
+        """factor(d) refills a fixed pattern; the matrix it factors has the CSC
+        pattern of G + diag(pre_diag) built by sparse products, and its values
+        to 4 ulps, diagonal shift included.  At n=2 both periodic neighbours
+        along an axis are one pixel, so each column holds 3 entries, not 5."""
+        geom = tv.ScanGeometry(num_angles=6, num_detector_pixels=8)
+        A = tv.assemble_system_matrix(geom, n)
+        g = tv.forward_project(A, tv.render_phantom(tv.Phantom.disc(r=0.3), n))
+        problem = tv.build_qp(A, g, 0.1)
+        N, d_h, d_v = problem.N, problem.ops.d_h, problem.ops.d_v
+        captured, real = [], spla.splu
+        monkeypatch.setattr(spla, "splu", lambda M, **kw: (captured.append(M), real(M, **kw))[1])
+        factor = pdip._tv_newton(problem)
+        ata_diag = np.asarray(A.matrix.multiply(A.matrix).sum(axis=0)).ravel()
+        for _ in range(5):
+            d = 10.0 ** rng.uniform(-8, 14, size=5 * N)
+            factor(d)
+            d_f, d_hp, d_hm, d_vp, d_vm = (d[k * N : (k + 1) * N] for k in range(5))
+            w_h = 1.0 / (1.0 / d_hp + 1.0 / d_hm)
+            w_v = 1.0 / (1.0 / d_vp + 1.0 / d_vm)
+            G = (sp.diags(d_f) + d_h.T @ sp.diags(w_h) @ d_h
+                 + d_v.T @ sp.diags(w_v) @ d_v).tocsr()
+            pre_diag = ata_diag + 10 * np.finfo(float).eps * (G.diagonal() + ata_diag).max()
+            expected = (G + sp.diags(pre_diag)).tocsc()
+            refilled = captured[-1]
+            assert refilled.format == "csc"
+            assert np.array_equal(refilled.indptr, expected.indptr)
+            assert np.array_equal(refilled.indices, expected.indices)
+            assert np.all(np.abs(refilled.data - expected.data)
+                          <= 4 * np.spacing(np.abs(expected.data)))
+            assert np.all(np.diff(refilled.indptr) == (3 if n == 2 else 5))
 
     def test_backend_argument_is_ignored(self, small_geom):
         assert "backend" not in [f.name for f in dataclasses.fields(tv.SolverConfig)]
