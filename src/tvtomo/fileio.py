@@ -12,10 +12,10 @@ import warnings
 
 import numpy as np
 
-from .errors import FormatError, check_count, check_real
+from .errors import FormatError
 from .geometry import ScanGeometry, Sinogram
 from .grid import ImageGrid
-from .table import CELL_STATUSES, SweepTable
+from .table import SweepTable, check_cell
 
 __all__ = [
     "write_image", "read_image", "write_pgm",
@@ -181,14 +181,7 @@ def read_sweep_csv(path):
         try:
             alpha, n, t, r, it, st = row
             key, cell = (float(alpha), int(n)), (float(t), float(r), int(it), st)
-            check_real("alpha", key[0], ValueError)
-            check_count("n", key[1], 1, ValueError)
-            check_count("iterations", cell[2], 0, ValueError)
-            for name, value in zip(("tv", "residual"), cell):
-                if not np.isnan(value):  # NaN marks a failed or absent cell
-                    check_real(name, value, ValueError, strict=False)
-            if st not in CELL_STATUSES:
-                raise ValueError(f"status {st!r} is not one of {', '.join(CELL_STATUSES)}")
+            check_cell(*key, *cell, ValueError)
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: malformed sweep row {row!r}: {exc}") from exc
         if key in cells:

@@ -15,12 +15,12 @@ thread variables: assembly calls no BLAS, and numpy's array kernels and
 scipy's sparse routines release the GIL.  Each thread sorts and merges its
 own batch's rows, and the batches are stacked in angle-major order with
 segments in increasing t, so the matrix does not depend on the batch size
-or the thread count.
+or the thread count.  `pool_map` makes the one choice between a pool and
+the calling thread, for these batches and for a sweep's cells.
 """
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +51,16 @@ def usable_cpus():
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on this platform
         return os.cpu_count() or 1
+
+
+def pool_map(pool, workers, fn, *iterables):
+    """``list(map(fn, *iterables))``, on the executor ``pool(workers)`` when
+    ``workers > 1`` and in the calling thread otherwise.  The executor is
+    shut down before this returns, and the first error of ``fn`` is raised."""
+    if workers <= 1:
+        return list(map(fn, *iterables))
+    with pool(workers) as executor:
+        return list(executor.map(fn, *iterables))
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,13 +249,9 @@ def assemble_system_matrix(geom, n):
     origins, directions = geom.ray_arrays()
     step = max(1, _CHUNK_ENTRIES // (2 * n + 4))
     lows = range(0, geom.num_rays, step)
-    workers = min(usable_cpus(), len(lows))
-    with ExitStack() as stack:
-        mapper = map
-        if workers > 1:
-            mapper = stack.enter_context(ThreadPoolExecutor(max_workers=workers)).map
-        blocks = list(mapper(_trace_block, [origins[lo:lo + step] for lo in lows],
-                             [directions[lo:lo + step] for lo in lows], [n] * len(lows)))
+    blocks = pool_map(ThreadPoolExecutor, min(usable_cpus(), len(lows)), _trace_block,
+                      [origins[lo:lo + step] for lo in lows],
+                      [directions[lo:lo + step] for lo in lows], [n] * len(lows))
     mat = sp.vstack(blocks, format="csr")
     # linear on canonical rows; sets the canonical-format flags
     mat.sum_duplicates()

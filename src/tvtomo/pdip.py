@@ -297,10 +297,8 @@ def pdip_solve(problem):
     """
     nz, ny = problem.z_dim, problem.y_dim
 
-    if isinstance(problem, QpProblem):
-        start = max(1.0, float(np.max(np.abs(problem.g))))
-    else:
-        start = max(1.0, float(np.max(np.abs(problem.c))))
+    data = problem.g if isinstance(problem, QpProblem) else problem.c
+    start = max(1.0, float(np.max(np.abs(data))))
     z = np.full(nz, start)
     x = np.full(nz, start)
     y = np.zeros(ny)

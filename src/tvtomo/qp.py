@@ -75,8 +75,7 @@ def build_qp(A, g_tilde, alpha):
     if g.size != A.matrix.shape[0]:
         raise ShapeMismatchError(f"data length {g.size} != M={A.matrix.shape[0]}")
 
-    ones = np.ones(N)
-    c = np.concatenate([-(A.matrix.T @ g), alpha * ones, alpha * ones, alpha * ones, alpha * ones])
+    c = np.concatenate([-(A.matrix.T @ g), np.full(4 * N, float(alpha))])
     d = float(0.5 * g @ g)
     I = sp.identity(N, format="csr")
     Z = sp.csr_matrix((N, N))

@@ -2,7 +2,9 @@
 
 `run_sweep` reconstructs the same data at every (alpha, resolution) pair
 into a `SweepTable` (from `tvtomo.table`) of TV norms and residuals; the
-three rules and the stability test `stable_rows` read such a table.
+three rules and the stability test `stable_rows` read such a table.  The
+grid is one call of `_solve_cells`, which solves any set of cells in forked
+workers or in this process, as `geometry.pool_map` chooses.
 """
 
 import multiprocessing
@@ -10,7 +12,6 @@ import os
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
 
@@ -27,7 +28,7 @@ from .errors import (
     check_count,
     check_real,
 )
-from .geometry import assemble_system_matrix, usable_cpus
+from .geometry import assemble_system_matrix, pool_map, usable_cpus
 from .grid import tv_norm
 from .pdip import reconstruct
 from .table import SweepTable
@@ -115,17 +116,32 @@ def _default_jobs():
     return max(1, cpus // blas_threads)
 
 
+def _solve_cells(g_tilde, keys, matrices):
+    """``{(alpha, n): (tv, residual, iterations, status)}`` for each key, with
+    ``matrices[n]`` the system matrix at resolution n.
+
+    The cells start in the order of ``keys``, in forked worker processes,
+    one per CPU the BLAS threads leave free and at most one per cell, or in
+    this process when that is one; either way gives the same cells and the
+    same warnings, which are warned here after the last cell returns.
+    """
+    results = pool_map(
+        lambda jobs: ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("fork")),
+        min(_default_jobs(), len(keys)), partial(_solve_cell, g_tilde),
+        [a for a, _ in keys], [matrices[n] for _, n in keys])
+    for _, caught in results:
+        _reissue(caught)
+    return {key: cell for key, (cell, _) in zip(keys, results)}
+
+
 def run_sweep(geom, g_tilde, alphas, resolutions):
     """Reconstruct over the full (alpha, resolution) grid.
 
     The sinogram is resolution-independent data: the same g_tilde feeds
     every column, while the system matrix is re-assembled per resolution.
     Solver failures are NaN cells with status ``"solver_failure"``, not
-    raised.  The cells are solved in forked worker processes, one per CPU
-    the BLAS threads leave free and at most one per cell, or in this process
-    when that is one; either way gives the same table and the same warnings.
-    Cells start costliest first: the finest grid, and within it the smallest
-    alpha.
+    raised.  The cells are solved by `_solve_cells`, costliest first: the
+    finest grid, and within it the smallest alpha.
     """
     alphas = list(alphas)
     for alpha in alphas:
@@ -135,29 +151,13 @@ def run_sweep(geom, g_tilde, alphas, resolutions):
     for n in resolutions:
         check_count("resolutions", n, 2, ParameterError)
     resolutions = sorted(map(int, resolutions))
-    if np.unique(alphas).size != alphas.size:
-        raise ParameterError(f"duplicate alphas in {alphas.tolist()}")
-    if len(set(resolutions)) != len(resolutions):
-        raise ParameterError(f"duplicate resolutions in {resolutions}")
-    if alphas.size == 0 or not resolutions:
-        raise ParameterError("a sweep needs at least one alpha and one resolution")
+    if not (alphas.size and resolutions) or 0 in np.diff(alphas) or 0 in np.diff(resolutions):
+        raise ParameterError(f"a sweep needs distinct alphas and resolutions, at least one of "
+                             f"each; got {alphas.tolist()} and {resolutions}")
 
     matrices = {n: assemble_system_matrix(geom, n) for n in resolutions}
     keys = [(alpha, n) for n in reversed(resolutions) for alpha in alphas]
-    solve = partial(_solve_cell, g_tilde)
-    # the pool forks all its workers at the first submit: no more than cells
-    workers = min(_default_jobs(), len(keys))
-    cells = []
-    with ExitStack() as stack:
-        mapper = map
-        if workers > 1:
-            pool = ProcessPoolExecutor(max_workers=workers,
-                                       mp_context=multiprocessing.get_context("fork"))
-            mapper = stack.enter_context(pool).map
-        for cell, caught in mapper(solve, [a for a, _ in keys], [matrices[n] for _, n in keys]):
-            _reissue(caught)
-            cells.append(cell)
-    return SweepTable.from_cells(dict(zip(keys, cells)))
+    return SweepTable.from_cells(_solve_cells(g_tilde, keys, matrices))
 
 
 def spread_profile(table):

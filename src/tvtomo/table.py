@@ -1,17 +1,33 @@
 """The (alpha, resolution) sweep table, built by `run_sweep` and
-`read_sweep_csv` alike through `SweepTable.from_cells`.  It imports only
-numpy and `errors`, so file I/O does not depend on the solver modules."""
+`read_sweep_csv` alike through `SweepTable.from_cells`; each checks its
+cells with `check_cell`.  It imports only numpy and `errors`, so file I/O
+does not depend on the solver modules."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoSelectionError, ResolutionMismatchError, ShapeMismatchError, check_count
+from .errors import (NoSelectionError, ResolutionMismatchError, ShapeMismatchError,
+                     check_count, check_real)
 
 __all__ = ["SweepTable"]
 
 # every status a sweep cell can have: a ConvergenceReport reason or "absent"
 CELL_STATUSES = ("converged", "max_iterations", "solver_failure", "absent")
+
+
+def check_cell(alpha, n, tv, residual, iterations, status, error):
+    """Raise ``error`` unless this is a sweep cell: alpha a finite real > 0,
+    n an integer >= 1, tv and residual finite reals >= 0 or NaN (a failed or
+    absent cell), iterations an integer >= 0 and status in CELL_STATUSES."""
+    check_real("alpha", alpha, error)
+    check_count("n", n, 1, error)
+    for name, value in (("tv", tv), ("residual", residual)):
+        if not np.isnan(value):
+            check_real(name, value, error, strict=False)
+    check_count("iterations", iterations, 0, error)
+    if status not in CELL_STATUSES:
+        raise error(f"status {status!r} is not one of {', '.join(CELL_STATUSES)}")
 
 
 @dataclass(eq=False)
@@ -35,20 +51,6 @@ class SweepTable:
         self.tv = np.asarray(self.tv, dtype=float)
         self.residual = np.asarray(self.residual, dtype=float)
         shape = (self.alphas.size, len(self.resolutions))
-        if self.tv.shape != shape or self.residual.shape != shape:
-            raise ShapeMismatchError(
-                f"table arrays must have shape {shape}, got {self.tv.shape}/{self.residual.shape}"
-            )
-        for name, values in (("tv", self.tv), ("residual", self.residual)):
-            # NaN marks a failed or absent cell
-            if np.any(np.isinf(values) | (values < 0)):
-                raise ShapeMismatchError(f"{name} values must be finite and >= 0, or NaN")
-        if np.any(self.alphas <= 0):
-            raise ShapeMismatchError("alphas must be positive")
-        if np.any(np.diff(self.alphas) <= 0):
-            raise ShapeMismatchError("alphas must be sorted strictly ascending")
-        if np.any(np.diff(self.resolutions) <= 0):
-            raise ShapeMismatchError("resolutions must be sorted strictly ascending")
         if self.iterations is None:
             self.iterations = np.zeros(shape, dtype=int)
         if self.status is None:
@@ -56,16 +58,17 @@ class SweepTable:
         # as objects, so a float or bool count is refused, not truncated
         iterations = np.asarray(self.iterations, dtype=object)
         self.status = np.asarray(self.status, dtype=object)
-        if iterations.shape != shape or self.status.shape != shape:
-            raise ShapeMismatchError(
-                f"table arrays must have shape {shape}, got iterations "
-                f"{iterations.shape} and status {self.status.shape}")
-        for count in iterations.flat:
-            check_count("iterations", count, 0, ShapeMismatchError)
-        for status in self.status.flat:
-            if status not in CELL_STATUSES:
-                raise ShapeMismatchError(
-                    f"status {status!r} is not one of {', '.join(CELL_STATUSES)}")
+        arrays = {"tv": self.tv, "residual": self.residual, "iterations": iterations,
+                  "status": self.status}
+        if 0 in shape or any(values.shape != shape for values in arrays.values()):
+            shapes = ", ".join(f"{name} {values.shape}" for name, values in arrays.items())
+            raise ShapeMismatchError(f"a table needs an alpha, a resolution and arrays of "
+                                     f"shape {shape}, got {shapes}")
+        if np.any(np.diff(self.alphas) <= 0) or np.any(np.diff(self.resolutions) <= 0):
+            raise ShapeMismatchError("alphas and resolutions must be sorted strictly ascending")
+        for i, j in np.ndindex(shape):
+            check_cell(self.alphas[i], self.resolutions[j],
+                       *(values[i, j] for values in arrays.values()), ShapeMismatchError)
         self.iterations = iterations.astype(int)
 
     @classmethod

@@ -376,6 +376,32 @@ class TestRunSweep:
                     # NaN cells compare equal to NaN cells only
                     np.testing.assert_array_equal(getattr(other, name), getattr(table, name))
 
+    def test_solve_cells_on_a_subset_matches_the_full_sweep(self, small_geom, cpu_set):
+        """The cells a rule that skips fine cells would ask for: both coarse
+        columns and one fine cell."""
+        g = tv.forward_project(tv.assemble_system_matrix(small_geom, 16),
+                               tv.render_phantom(tv.Phantom.disc(r=0.3), 16))
+        alphas, resolutions = [0.01, 0.1, 1.0], [4, 8, 16]
+        cpu_set(1)
+        full = tv.run_sweep(small_geom, g, alphas, resolutions)
+        matrices = {n: tv.assemble_system_matrix(small_geom, n) for n in resolutions}
+        keys = [(a, n) for n in (8, 4) for a in alphas] + [(1.0, 16)]
+        for cpus in (1, 2):
+            cpu_set(cpus)
+            cells = tv.select._solve_cells(g, keys, matrices)
+            assert list(cells) == keys
+            for (alpha, n), (tv_, res, iterations, status) in cells.items():
+                ij = alphas.index(alpha), resolutions.index(n)
+                assert np.float64(tv_).tobytes() == full.tv[ij].tobytes()
+                assert np.float64(res).tobytes() == full.residual[ij].tobytes()
+                assert (iterations, status) == (full.iterations[ij], full.status[ij])
+        table = tv.SweepTable.from_cells(cells)
+        assert table.resolutions == resolutions
+        assert table.status[:, 2].tolist() == ["absent", "absent", "converged"]
+        assert np.all(np.isnan(table.tv[:2, 2]))
+        with pytest.raises(NoSelectionError):
+            tv.select_multiresolution(table)
+
     def test_reissue_warns_from_a_file_no_module_has(self):
         """A warning whose file belongs to no loaded module keeps its file and line."""
         with pytest.warns(UserWarning, match="x") as caught:
@@ -444,6 +470,12 @@ class TestRunSweep:
         cpu_set(2)
         monkeypatch.setattr(tv.select.multiprocessing, "get_all_start_methods",
                             lambda: ["spawn"])
+
+        def no_fork(method=None):
+            raise ValueError(f"cannot find context for {method!r}")
+
+        # the fork context is asked for only when a pool is made
+        monkeypatch.setattr(tv.select.multiprocessing, "get_context", no_fork)
         g = tv.forward_project(tv.assemble_system_matrix(small_geom, 2),
                                tv.render_phantom(tv.Phantom.disc(r=0.3), 2))
         tv.run_sweep(small_geom, g, alphas=[0.1, 1.0], resolutions=[2, 3])
