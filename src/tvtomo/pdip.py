@@ -26,24 +26,24 @@ COLAMD, and runs with relax=1, panel_size=10 in place of SuperLU's default
 supernode relaxation (relax=10, panel_size=20): at the same fill, both the
 factorization and its solves as the preconditioner measured faster on
 this 5-point, minimum-degree-ordered matrix.
-`_tv_newton` builds A^T, diag(A^T A) and the fixed CSC pattern of G once
-per solve, with a sparse map that scatters [d_f; w_h; w_v] into G's
-values; its factor(d) refills those values, adds diag(A^T A) and the
-shift at the diagonal, factors the result once per iterate and returns the
-solve(r1, p2, rtol) -> (dz, dy, cg_iterations) that both solves of the
-iterate share.  G is symmetric, so the CG matvec reads the same arrays as
-CSR.  `_newton_step` wraps each solve in the barrier algebra with
-d = x~/z.  The solves are inexact (Eisenstat and Walker 1996; Gondzio
-2013): the predictor only sets the centering sigma and the second-order
-term, so its CG stops at relative tolerance 1e-5, and the corrector's at
-3e-7, which keeps every measured cell's outer iterations and moves TV by
-at most about 5e-8 relative against 1e-8.  The corrector step must solve
-the reduced system to a relative residual of 1e-6, or the solve fails
-with SolverFailureError.  Each
-history row records the CG iterations of its predictor and corrector
-solves and that residual, newton_residual.
-The solver has no settings: the outer iteration cap, 100, is a constant
-like every tolerance above.
+`_tv_newton` builds once per solve A^T, D_h^T, D_v^T, diag(A^T A), G as CSR
+on its fixed pattern with a map scattering [d_f; w_h; w_v] into G.data, the
+CSC matrix splu factors on that pattern (G is symmetric), and the CG
+operator A^T A + G, typed so that scipy does not probe it with a zero
+vector.  Each iterate's factor(d) refills both matrices, adds diag(A^T A)
+and the shift at the diagonal, and factors once for both solves.  The
+preconditioner's operator stays untyped and per CG call: benchmarks/tests
+counts scipy's probe of it, one SuperLU solve per call.
+`_newton_step` wraps each solve in the barrier algebra with d = x~/z.  The
+solves are inexact (Eisenstat and Walker 1996; Gondzio 2013): the predictor
+only sets the centering sigma and the second-order term, so its CG stops at
+relative tolerance 1e-5, and the corrector's at 3e-7, which keeps every
+measured cell's outer iterations and moves TV by at most about 5e-8 relative
+against 1e-8.  The corrector step must solve the reduced system to a
+relative residual of 1e-6, or the solve fails with SolverFailureError.  Each
+history row records the CG iterations of its predictor and corrector solves
+and that residual, newton_residual.  The solver has no settings: the outer
+iteration cap, 100, is a constant like every tolerance above.
 
 `reconstruct` first checks the TV-zero regime.  With a1 = A 1, the best
 constant fit is c* = <a1, g> / |a1|^2, and r = A^T (g - c* a1) sums to 0.
@@ -174,11 +174,11 @@ def _dense_newton(problem):
     return factor
 
 
-def _weighted_laplacian_pattern(d_h, d_v):
-    """(indptr, indices, diagonal, scatter): the CSC pattern of
-    G = diag(d_f) + D_h^T W_h D_h + D_v^T W_v D_v, the positions of its
-    diagonal in the data array, and the sparse map whose product with
-    [d_f; w_h; w_v] is that data array.
+def _weighted_laplacian(d_h, d_v):
+    """(G, diagonal, scatter): G = diag(d_f) + D_h^T W_h D_h + D_v^T W_v D_v as
+    a CSR matrix on its fixed pattern with zero values, the positions of its
+    diagonal in G.data, and the sparse map whose product with [d_f; w_h; w_v]
+    is G.data.
 
     Row k of D has two entries, D[k, a] and D[k, b], so it adds w[k] D[k, i] D[k, j]
     at (i, j) for i, j in {a, b}.  At n=2 a pixel's two periodic neighbours
@@ -196,14 +196,15 @@ def _weighted_laplacian_pattern(d_h, d_v):
                 cols.append(ends[:, q])
                 coefs.append(values[:, p] * values[:, q])
                 sources.append(block * N + pixels)
-    # column-major keys order the entries as CSC stores them
+    # column-major keys order the entries as CSC stores them, and G is
+    # symmetric, so its CSC arrays are also its CSR arrays
     keys, position = np.unique(np.concatenate(cols) * N + np.concatenate(rows),
                                return_inverse=True)
     indptr = np.searchsorted(keys, np.arange(N + 1) * N).astype(np.intc)
-    indices = (keys % N).astype(np.intc)
+    G = sp.csr_matrix((np.zeros(keys.size), (keys % N).astype(np.intc), indptr), shape=(N, N))
     scatter = sp.csr_matrix((np.concatenate(coefs), (position, np.concatenate(sources))),
                             shape=(keys.size, 3 * N))
-    return indptr, indices, position[:N], scatter
+    return G, position[:N], scatter
 
 
 def _tv_newton(problem):
@@ -214,35 +215,34 @@ def _tv_newton(problem):
     weights w = 1/(1/d+ + 1/d-), all split variables and equality duals
     reduce to closed forms around the image-block SPD solve
     (A^T A + G) df = rhs, run by CG to relative tolerance rtol with the
-    iterate's splu factor of G + diag(A^T A) as preconditioner.  G keeps
-    one pattern for the whole solve, so each factor(d) only refills its
-    values (see `_weighted_laplacian_pattern`).
+    iterate's splu factor of G + diag(A^T A) as preconditioner.
     """
     N, d_h, d_v = problem.N, problem.ops.d_h, problem.ops.d_v
+    d_hT, d_vT = d_h.T, d_v.T
     A = problem.A.matrix
     # the CSC view A^T, once per solve rather than per CG iteration; a CSR
     # copy measured slower, as each iteration then reads two copies of A
     AT = A.T
     ata_diag = np.asarray(A.multiply(A).sum(axis=0)).ravel()
-    indptr, indices, diagonal, scatter = _weighted_laplacian_pattern(d_h, d_v)
+    G, diagonal, scatter = _weighted_laplacian(d_h, d_v)
+    # G + diag(A^T A) + shift, on G's pattern read as CSC
+    P = sp.csc_matrix((G.data.copy(), G.indices, G.indptr), shape=(N, N))
+    op = spla.LinearOperator((N, N), matvec=lambda v: AT @ (A @ v) + G @ v, dtype=float)
 
     def factor(d):
         d_f, d_hp, d_hm, d_vp, d_vm = (d[k * N : (k + 1) * N] for k in range(5))
         w_h = 1.0 / (1.0 / d_hp + 1.0 / d_hm)
         w_v = 1.0 / (1.0 / d_vp + 1.0 / d_vm)
-        g_data = scatter @ np.concatenate([d_f, w_h, w_v])
-        # G is symmetric: its CSC arrays are also its CSR arrays
-        G = sp.csr_matrix((g_data, indices, indptr), shape=(N, N))
+        G.data[:] = scatter @ np.concatenate([d_f, w_h, w_v])
         # A^T A enters only through its diagonal.  TV weights near 1e14 round the sum to a
         # singular Laplacian; 10 eps max(diag), twice a 5-point row's rounding, keeps it regular
-        pre_diag = ata_diag + 10 * np.finfo(float).eps * (g_data[diagonal] + ata_diag).max()
-        pre_data = g_data.copy()
-        pre_data[diagonal] += pre_diag
+        P.data[:] = G.data
+        P.data[diagonal] += ata_diag + 10 * np.finfo(float).eps * (
+            G.data[diagonal] + ata_diag).max()
         try:
             # symmetric 5-point pattern: minimum degree on A^T+A halves COLAMD's fill;
             # unrelaxed supernodes factor and apply faster at the same fill (measured)
-            lu = spla.splu(sp.csc_matrix((pre_data, indices, indptr), shape=(N, N)),
-                           permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=10)
+            lu = spla.splu(P, permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=10)
         except RuntimeError as exc:
             raise SolverFailureError(f"preconditioner factorization failed: {exc}") from exc
 
@@ -250,17 +250,12 @@ def _tv_newton(problem):
             r1_f, r1_hp, r1_hm, r1_vp, r1_vm = (r1[k * N : (k + 1) * N] for k in range(5))
             rhs_h = p2[:N] - r1_hp / d_hp + r1_hm / d_hm
             rhs_v = p2[N:] - r1_vp / d_vp + r1_vm / d_vm
-            rhs_f = -r1_f + d_h.T @ (w_h * rhs_h) + d_v.T @ (w_v * rhs_v)
-            op = spla.LinearOperator((N, N), matvec=lambda v: AT @ (A @ v) + G @ v)
+            rhs_f = -r1_f + d_hT @ (w_h * rhs_h) + d_vT @ (w_v * rhs_v)
+            # untyped, so scipy probes it once per call (see the module docstring)
             pre = spla.LinearOperator((N, N), matvec=lu.solve)
-            iterations = 0
-
-            def count(xk):
-                nonlocal iterations
-                iterations += 1
-
+            iterates = []  # cg calls back once per iteration
             df, info = spla.cg(op, rhs_f, rtol=rtol, atol=0.0,
-                               maxiter=_CG_MAX_ITERATIONS, M=pre, callback=count)
+                               maxiter=_CG_MAX_ITERATIONS, M=pre, callback=iterates.append)
             if info > 0:
                 # accept the iterate; pdip_solve checks the Newton residual
                 warnings.warn(f"inner CG hit the iteration cap ({info})")
@@ -268,7 +263,7 @@ def _tv_newton(problem):
             dy_v = w_v * (rhs_v - d_v @ df)
             dz = np.concatenate([df, -(r1_hp + dy_h) / d_hp, -(r1_hm - dy_h) / d_hm,
                                  -(r1_vp + dy_v) / d_vp, -(r1_vm - dy_v) / d_vm])
-            return dz, np.concatenate([dy_h, dy_v]), iterations
+            return dz, np.concatenate([dy_h, dy_v]), len(iterates)
 
         return solve
 
@@ -303,7 +298,7 @@ def pdip_solve(problem):
     x = np.full(nz, start)
     y = np.zeros(ny)
 
-    c, b, B = problem.c, problem.b, problem.B
+    c, b, B, BT = problem.c, problem.b, problem.B, problem.B.T
     norm_b = 1.0 + np.linalg.norm(b)
     norm_c = 1.0 + np.linalg.norm(c)
 
@@ -318,7 +313,7 @@ def pdip_solve(problem):
 
     for it in range(_MAX_ITERATIONS + 1):
         Qz = problem.apply_Q(z)
-        r_dual_vec = Qz + c - B.T @ y - x
+        r_dual_vec = Qz + c - BT @ y - x
         r_primal_vec = B @ z - b
         r_dual = float(np.linalg.norm(r_dual_vec))
         r_primal = float(np.linalg.norm(r_primal_vec))
@@ -351,7 +346,7 @@ def pdip_solve(problem):
             dz, dy, dx, cg_corrector = _newton_step(solve, d, p1, p2, p3, _CORRECTOR_RTOL)
             # relative residual of the reduced system
             r1 = p1 - d * p3
-            res1 = -(problem.apply_Q(dz) + d * dz) + B.T @ dy - r1
+            res1 = -(problem.apply_Q(dz) + d * dz) + BT @ dy - r1
             res2 = B @ dz - p2
             rel = np.sqrt(np.linalg.norm(res1) ** 2 + np.linalg.norm(res2) ** 2) / (
                 1.0 + np.sqrt(np.linalg.norm(r1) ** 2 + np.linalg.norm(p2) ** 2))

@@ -46,6 +46,11 @@ class SweepTable:
     status: np.ndarray = None  # object array of CELL_STATUSES
 
     def __post_init__(self):
+        # the raw axes, so a str or bool alpha and a float or bool n are refused, not converted
+        for alpha in self.alphas:
+            check_real("alpha", alpha, ShapeMismatchError)
+        for n in self.resolutions:
+            check_count("n", n, 1, ShapeMismatchError)
         self.alphas = np.asarray(self.alphas, dtype=float)
         self.resolutions = [int(r) for r in self.resolutions]
         self.tv = np.asarray(self.tv, dtype=float)

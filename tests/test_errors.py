@@ -65,6 +65,11 @@ G = tv.forward_project(A, tv.render_phantom(tv.Phantom.disc(r=0.25), 4))
                                                np.ones((2, 1)))),
     (ShapeMismatchError, lambda: tv.SweepTable([np.inf], [8], [[1.0]], [[1.0]])),
     (ShapeMismatchError, lambda: tv.SweepTable([1.0], [0], [[1.0]], [[1.0]])),
+    # read_sweep_csv refuses n=8.7; the table must not truncate it, nor take a bool or str
+    (ShapeMismatchError, lambda: tv.SweepTable([1.0], [8.7], [[1.0]], [[1.0]])),
+    (ShapeMismatchError, lambda: tv.SweepTable([1.0], [True], [[1.0]], [[1.0]])),
+    (ShapeMismatchError, lambda: tv.SweepTable(["0.1"], [8], [[1.0]], [[1.0]])),
+    (ShapeMismatchError, lambda: tv.SweepTable([True], [8], [[1.0]], [[1.0]])),
     (ShapeMismatchError, lambda: tv.SweepTable([1.0], [], np.ones((1, 0)), np.ones((1, 0)))),
     (ShapeMismatchError, lambda: tv.SweepTable([0.1, 1.0], [8], [[1.0], [np.inf]],
                                                np.ones((2, 1)))),
@@ -100,7 +105,8 @@ G = tv.forward_project(A, tv.render_phantom(tv.Phantom.disc(r=0.25), 4))
         "mode-unknown", "angles-count", "sinogram-length", "sinogram-nan",
         "shells-increasing", "shells-outside", "polygon-two-vertices", "qp-data-length",
         "table-shape", "table-alpha-zero", "table-alphas-descending",
-        "table-alpha-nan", "table-alpha-inf", "table-n-zero", "table-no-resolution",
+        "table-alpha-nan", "table-alpha-inf", "table-n-zero", "table-n-float", "table-n-bool",
+        "table-alpha-str", "table-alpha-bool", "table-no-resolution",
         "table-tv-inf", "table-tv-negative", "table-residual-inf", "table-residual-negative",
         "table-from-cells-tv-inf", "table-iterations-negative", "table-iterations-float",
         "table-iterations-bool", "table-from-cells-iterations-float", "table-status-unknown",

@@ -470,6 +470,39 @@ class TestReconstruct:
                           <= 4 * np.spacing(np.abs(expected.data)))
             assert np.all(np.diff(refilled.indptr) == (3 if n == 2 else 5))
 
+    def test_cg_operator_is_built_once_and_never_probed(self, small_geom, monkeypatch):
+        """One solve builds one CG operator of A^T A + G, typed, so scipy never
+        multiplies it by a zero vector to learn its dtype: it multiplies exactly
+        the vectors that the history's CG columns count."""
+        A = tv.assemble_system_matrix(small_geom, 8)
+        g = tv.forward_project(A, tv.render_phantom(tv.Phantom.disc(r=0.3), 8))
+        built, solved = [], []  # (operator, [products]) per LinearOperator; cg's operators
+        real_operator, real_cg = spla.LinearOperator, spla.cg
+
+        def counting_operator(shape, matvec, **kwargs):
+            products = [0]
+
+            def counted(v):
+                products[0] += 1
+                return matvec(v)
+
+            op = real_operator(shape, matvec=counted, **kwargs)
+            built.append((op, products))
+            return op
+
+        def recording_cg(op, rhs, **kwargs):
+            solved.append(op)
+            return real_cg(op, rhs, **kwargs)
+
+        monkeypatch.setattr(spla, "LinearOperator", counting_operator)
+        monkeypatch.setattr(spla, "cg", recording_cg)
+        _, report = tv.reconstruct(A, g, 0.1)
+        assert report.reason == "converged"
+        assert len(solved) == 2 * report.iterations and all(op is solved[0] for op in solved)
+        [products] = [products for op, products in built if op is solved[0]]
+        columns = [pdip.HISTORY_COLUMNS.index(name) for name in ("cg_predictor", "cg_corrector")]
+        assert products[0] == sum(row[k] for row in report.history for k in columns) > 0
+
     def test_backend_argument_is_ignored(self, small_geom):
         assert "backend" not in [f.name for f in dataclasses.fields(tv.SolverConfig)]
         A = tv.assemble_system_matrix(small_geom, 8)
