@@ -6,17 +6,19 @@ of [0,1]^2 with Siddon's parametric traversal, and the system matrix
 collects the exact ray/pixel intersection lengths.
 
 `assemble_system_matrix` traces rays in batches with array operations:
-each ray's row holds its clipped span and the crossings of every grid line,
-the crossings outside the span are set to inf, and a sort and a difference
-per row give the segments.  Rays go in batches of at most `_CHUNK_ENTRIES`
-crossing slots, so memory stays bounded for any geometry.  Batches run on
-one thread per usable CPU (at most one per batch), independent of the BLAS
-thread variables: assembly calls no BLAS, and numpy's array kernels and
-scipy's sparse routines release the GIL.  Each thread sorts and merges its
-own batch's rows, and the batches are stacked in angle-major order with
-segments in increasing t, so the matrix does not depend on the batch size
-or the thread count.  `pool_map` makes the one choice between a pool and
-the calling thread, for these batches and for a sweep's cells.
+each ray's row holds its clipped span and the crossings of the grid lines
+in a window around that span on each axis (the plane-range step of Jacobs
+et al., 1998), the crossings outside the span are set to inf, and a sort
+and a difference per row give the segments.  Rays go in batches of at most
+`_CHUNK_ENTRIES` crossing slots, so memory stays bounded for any geometry.
+Batches run on one thread per usable CPU (at most one per batch),
+independent of the BLAS thread variables: assembly calls no BLAS, and
+numpy's array kernels and scipy's sparse routines release the GIL.  Each
+thread sorts and merges its own batch's rows, and the batches are stacked
+in angle-major order with segments in increasing t, so the matrix does not
+depend on the batch size or the thread count.  `pool_map` makes the one
+choice between a pool and the calling thread, for these batches and for a
+sweep's cells.
 """
 
 import os
@@ -25,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidGeometryError, ShapeMismatchError, check_count, check_real
 from .grid import ImageGrid
@@ -40,8 +43,9 @@ __all__ = [
 
 _CENTER = np.array([0.5, 0.5])
 
-# (ray, crossing) slots per batch, 2 MB per float temporary: on a 2-core Xeon
-# this ran no slower than 16 MB batches and kept small geometries' peak low
+# (ray, crossing) slots per batch if every ray crossed every grid line, so at
+# most 2 MB per float temporary: on a 2-core Xeon this ran no slower than
+# 16 MB batches and kept small geometries' peak low
 _CHUNK_ENTRIES = 1 << 18
 
 
@@ -159,25 +163,6 @@ class Sinogram:
         self.data.setflags(write=False)
 
 
-def clip_to_unit_square(origin, direction):
-    """Slab-clip the line origin + t*direction to [0,1]^2.
-
-    Returns (t0, t1) with t0 <= t1, or None when the line misses the square.
-    """
-    t0, t1 = -np.inf, np.inf
-    for k in range(2):
-        if direction[k] != 0.0:
-            ta = (0.0 - origin[k]) / direction[k]
-            tb = (1.0 - origin[k]) / direction[k]
-            t0 = max(t0, min(ta, tb))
-            t1 = min(t1, max(ta, tb))
-        elif not (0.0 <= origin[k] <= 1.0):
-            return None
-    if t0 >= t1:
-        return None
-    return t0, t1
-
-
 def _trace_rays(origins, directions, n):
     """Siddon traversal of a batch of rays, shaped (R, 2), with array operations.
 
@@ -205,39 +190,56 @@ def _trace_rays(origins, directions, n):
         hit = np.flatnonzero(~missed & (t0 < t1))
         o, d, t0, t1 = origins[hit], d[hit], t0[hit, None], t1[hit, None]
 
-        # row r: t0, t1 and the crossings of all n + 1 planes per axis, those
-        # not inside (t0, t1) (all of them on an axis the ray does not move
-        # along) set to inf; sorted, the finite steps are the segments
-        planes = np.arange(n + 1) / n
-        ts = np.empty((hit.size, 2 * n + 4))
+        # window per axis: the planes from one below the clipped span's lower
+        # end to one above its upper end, none on an axis the ray does not
+        # move along; a batch's rows are as wide as its widest windows
+        ends = o[:, None] + np.stack([t0, t1], axis=1) * d[:, None]
+        lo = np.clip(np.floor(ends.min(axis=1) * n) - 1, 0, n)
+        hi = np.clip(np.ceil(ends.max(axis=1) * n) + 1, 0, n)
+        wx, wy = np.where(d != 0.0, hi - lo + 1, 0).max(axis=0, initial=0).astype(np.intp)
+        lo = lo.astype(np.intp)
+        # planes i / n, then inf where a window runs past plane n
+        planes = np.concatenate([np.arange(n + 1) / n, np.full(max(wx, wy), np.inf)])
+
+        # row r: t0, t1 and the crossings of its windows' planes, those not
+        # inside (t0, t1) set to inf; sorted, the finite steps are the segments
+        ts = np.empty((hit.size, 2 + wx + wy))
         ts[:, :1], ts[:, 1:2] = t0, t1
-        for k in range(2):
-            tk = ts[:, 2 + k * (n + 1):2 + (k + 1) * (n + 1)]
-            np.divide(planes - o[:, k, None], d[:, k, None], out=tk)
+        for k, (start, w) in enumerate([(2, wx), (2 + wx, wy)]):
+            tk = ts[:, start:start + w]
+            np.subtract(sliding_window_view(planes, w)[lo[:, k]], o[:, k, None], out=tk)
+            np.divide(tk, d[:, k, None], out=tk)
             np.copyto(tk, np.inf, where=~((tk > t0) & (tk < t1)))
         ts.sort(axis=1)
-        lengths = np.diff(ts, axis=1)
+        # lengths has ts's layout: one flat position gives a segment's start and length
+        lengths = np.empty_like(ts)
+        np.subtract(ts[:, 1:], ts[:, :-1], out=lengths[:, :-1])
+        lengths[:, -1] = np.inf
         keep = (lengths > 1e-15) & np.isfinite(lengths)
 
     kept = np.count_nonzero(keep, axis=1)
-    counts = np.zeros(len(directions), dtype=np.int64)
+    # int32 indices unless n * n exceeds them, as scipy chooses
+    index = np.intc if n * n <= np.iinfo(np.intc).max else np.int64
+    counts = np.zeros(len(directions), dtype=index)
     counts[hit] = kept
-    # flat position in ts of each kept segment's start (ts rows are one wider
-    # than keep rows); b - a is the segment's length as diff computed it
-    start = np.flatnonzero(keep) + np.repeat(np.arange(hit.size), kept)
-    a, b = ts.ravel()[start], ts.ravel()[start + 1]
-    mid = 0.5 * (a + b)
+    start = np.flatnonzero(keep)
+    mid = 0.5 * (ts.ravel()[start] + ts.ravel()[1:][start])
     x, y = (np.repeat(o[:, k], kept) + mid * np.repeat(d[:, k], kept) for k in range(2))
-    cols = np.clip((x * n).astype(np.int64), 0, n - 1)
-    rows = np.clip((y * n).astype(np.int64), 0, n - 1)
-    return counts, rows + n * cols, b - a
+    cols = (x * n).astype(index)
+    rows = (y * n).astype(index)
+    np.clip(cols, 0, n - 1, out=cols)
+    np.clip(rows, 0, n - 1, out=rows)
+    cols *= n
+    cols += rows
+    return counts, cols, lengths.ravel()[start]
 
 
 def _trace_block(origins, directions, n):
     """One batch of rays as CSR rows, each row sorted and its duplicates
     merged as COO -> CSR does."""
     counts, indices, lengths = _trace_rays(origins, directions, n)
-    indptr = np.concatenate([[0], np.cumsum(counts)])
+    indptr = np.zeros(len(counts) + 1, dtype=counts.dtype)
+    np.cumsum(counts, out=indptr[1:])
     block = sp.csr_matrix((lengths, indices, indptr), shape=(len(directions), n * n))
     block.sum_duplicates()
     return block

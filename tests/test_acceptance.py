@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 import tvtomo as tv
-from tvtomo.geometry import clip_to_unit_square
 
 from conftest import make_tv_instance, projected_subgradient
+from test_geometry import clip_to_unit_square
 from test_grid import D_H_3X3
 from test_select import TV_FIVE_PERCENT, TV_LOW_NOISE, make_table, oracle_curvature
 

@@ -9,18 +9,30 @@ from tvtomo import geometry
 from tvtomo.errors import InvalidGeometryError, ShapeMismatchError
 
 
-def liang_barsky_length(origin, direction, eps=0.0):
-    """Independent chord-length oracle: clip the line to [0,1]^2."""
-    d = np.asarray(direction, float)
-    d = d / np.hypot(*d)
+def clip_to_unit_square(origin, direction):
+    """Slab-clip the line origin + t*direction to [0,1]^2.
+
+    Returns (t0, t1) with t0 <= t1, or None when the line misses the square.
+    """
     t0, t1 = -np.inf, np.inf
     for k in range(2):
-        if d[k] != 0:
-            ta, tb = (0 - origin[k]) / d[k], (1 - origin[k]) / d[k]
-            t0, t1 = max(t0, min(ta, tb)), min(t1, max(ta, tb))
-        elif not 0 <= origin[k] <= 1:
-            return 0.0
-    return max(0.0, t1 - t0)
+        if direction[k] != 0.0:
+            ta = (0.0 - origin[k]) / direction[k]
+            tb = (1.0 - origin[k]) / direction[k]
+            t0 = max(t0, min(ta, tb))
+            t1 = min(t1, max(ta, tb))
+        elif not (0.0 <= origin[k] <= 1.0):
+            return None
+    if t0 >= t1:
+        return None
+    return t0, t1
+
+
+def liang_barsky_length(origin, direction):
+    """Independent chord-length oracle: clip the line to [0,1]^2."""
+    d = np.asarray(direction, float)
+    span = clip_to_unit_square(origin, d / np.hypot(*d))
+    return 0.0 if span is None else span[1] - span[0]
 
 
 def trace_ray(origin, direction, n):
@@ -35,7 +47,7 @@ def trace_ray(origin, direction, n):
     direction = np.asarray(direction, dtype=float)
     d = direction / np.hypot(direction[0], direction[1])
 
-    span = geometry.clip_to_unit_square(origin, d)
+    span = clip_to_unit_square(origin, d)
     if span is None:
         return np.empty(0, dtype=np.int64), np.empty(0)
     t0, t1 = span
@@ -230,6 +242,17 @@ EDGE_GEOMETRIES = [
                      source_radius=2.0, detector_radius=1.0), 1),
     # the CLI's default parallel beam: 90 angles, ceil(1.5 n) detectors
     (tv.ScanGeometry.default_parallel(5), 5),
+    # rays within 1e-12 of an axis: a window of a few planes on the other axis
+    (tv.ScanGeometry(num_angles=2, num_detector_pixels=9, detector_extent=1.0,
+                     angles=[1e-12, np.pi / 2 - 1e-12]), 8),
+    # 45 degrees, detector offsets m / (sqrt(2) n): every ray through lattice corners
+    (tv.ScanGeometry(num_angles=1, num_detector_pixels=15,
+                     detector_extent=15 / (np.sqrt(2.0) * 8), angles=[np.pi / 4]), 8),
+    # a fan source inside the square
+    (tv.ScanGeometry(mode="fan", num_angles=6, num_detector_pixels=15, detector_extent=2.0,
+                     source_radius=0.3, detector_radius=1.0), 8),
+    (tv.ScanGeometry.default_parallel(2), 2),
+    (tv.ScanGeometry.default_parallel(3), 3),
 ]
 
 
@@ -248,6 +271,11 @@ class TestBatchedAssembly:
     @pytest.mark.parametrize("geom, n", EDGE_GEOMETRIES)
     def test_edge_geometries(self, geom, n):
         self.assert_matches_oracle(geom, n)
+
+    def test_trace_returns_int32_indices(self):
+        counts, indices, _ = geometry._trace_rays(
+            *tv.ScanGeometry.default_parallel(64).ray_arrays(), 64)
+        assert counts.dtype == np.intc and indices.dtype == np.intc
 
     def test_default_parallel_counts(self):
         geom = tv.ScanGeometry.default_parallel(5)
