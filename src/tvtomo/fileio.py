@@ -3,8 +3,8 @@
 Raw formats are byte-stable: little-endian 64-bit floats behind one-line
 text headers (``TVTOMO-IMG <n>``, ``TVTOMO-SINO <num_angles> <num_det>``).
 Images are laid out row-major on disk regardless of the in-memory
-column-major vector.  A sweep CSV has one row per (alpha, n) cell; its
-table comes from `SweepTable.from_cells` in the leaf module `tvtomo.table`.
+column-major vector.  A sweep CSV has one row per (alpha, n) cell: alpha, n
+and the fields of `tvtomo.table.Cell`, the cell record of that leaf module.
 """
 
 import csv
@@ -15,7 +15,7 @@ import numpy as np
 from .errors import FormatError
 from .geometry import ScanGeometry, Sinogram
 from .grid import ImageGrid
-from .table import SweepTable, check_cell
+from .table import Cell, SweepTable, check_cell
 
 __all__ = [
     "write_image", "read_image", "write_pgm",
@@ -28,6 +28,8 @@ __all__ = [
 
 _IMG_MAGIC = b"TVTOMO-IMG"
 _SINO_MAGIC = b"TVTOMO-SINO"
+_SWEEP_HEADER = ("alpha", "n") + Cell._fields
+_CELL_TYPES = tuple(Cell.__annotations__.values())  # a sweep row's cell fields are read as these
 
 
 def _write_raw(path, magic, dims, values):
@@ -163,25 +165,23 @@ def read_sinogram_csv(path, geometry=None):
 
 
 def write_sweep_csv(path, table):
-    """Sweep table rows: alpha,n,tv,residual,iterations,status."""
-    write_curve_csv(path, {
-        "alpha": np.repeat(table.alphas, len(table.resolutions)),
-        "n": np.tile(table.resolutions, table.alphas.size),
-        "tv": table.tv, "residual": table.residual,
-        "iterations": table.iterations, "status": table.status,
-    })
+    """One row per cell of ``table``, row by row: alpha, n, then the `Cell`'s fields."""
+    rows = [(*key, *cell) for key, cell in table.cells()]
+    write_curve_csv(path, dict(zip(_SWEEP_HEADER, zip(*rows))))
 
 
 def read_sweep_csv(path):
+    """The `SweepTable` of a sweep CSV; a malformed row is a FormatError naming its line."""
     rows = list(csv.reader(_text_lines(path, newline="")))
-    if not rows or rows[0] != ["alpha", "n", "tv", "residual", "iterations", "status"]:
+    if not rows or rows[0] != list(_SWEEP_HEADER):
         raise FormatError(f"{path}: bad sweep CSV header", byte_offset=0)
     cells = {}
     for lineno, row in enumerate(rows[1:], 2):
         try:
-            alpha, n, t, r, it, st = row
-            key, cell = (float(alpha), int(n)), (float(t), float(r), int(it), st)
-            check_cell(*key, *cell, ValueError)
+            alpha, n, *fields = row
+            key = float(alpha), int(n)
+            cell = Cell._make(kind(text) for kind, text in zip(_CELL_TYPES, fields, strict=True))
+            check_cell(key, cell)
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: malformed sweep row {row!r}: {exc}") from exc
         if key in cells:

@@ -12,6 +12,7 @@ import os
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import partial
 
@@ -31,7 +32,7 @@ from .errors import (
 from .geometry import assemble_system_matrix, pool_map, usable_cpus
 from .grid import tv_norm
 from .pdip import reconstruct
-from .table import SweepTable
+from .table import Cell, SweepTable
 
 __all__ = [
     "SweepTable",
@@ -55,17 +56,16 @@ class SCurvePrior:
 
 
 def _solve_cell(g_tilde, alpha, A):
-    """One cell's (tv, residual, iterations, reason) and the warnings its
+    """One cell's `Cell`, its status the report's reason, and the warnings its
     solve raised, as picklable (message, category, filename, lineno)."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             f, report = reconstruct(A, g_tilde, alpha)
-            tv = tv_norm(f)
             res = float(np.linalg.norm(A.matrix @ f.values - g_tilde.data))
-            cell = tv, res, report.iterations, report.reason
+            cell = Cell(tv_norm(f), res, report.iterations, report.reason)
         except SolverFailureError:
-            cell = np.nan, np.nan, 0, "solver_failure"
+            cell = Cell(np.nan, np.nan, 0, "solver_failure")
     return cell, [(w.message, w.category, w.filename, w.lineno) for w in caught]
 
 
@@ -117,18 +117,21 @@ def _default_jobs():
 
 
 def _solve_cells(g_tilde, keys, matrices):
-    """``{(alpha, n): (tv, residual, iterations, status)}`` for each key, with
-    ``matrices[n]`` the system matrix at resolution n.
+    """``{(alpha, n): Cell}`` for each key, with ``matrices[n]`` the system
+    matrix at resolution n; a worker that dies is a SolverFailureError.
 
     The cells start in the order of ``keys``, in forked worker processes,
     one per CPU the BLAS threads leave free and at most one per cell, or in
     this process when that is one; either way gives the same cells and the
     same warnings, which are warned here after the last cell returns.
     """
-    results = pool_map(
-        lambda jobs: ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("fork")),
-        min(_default_jobs(), len(keys)), partial(_solve_cell, g_tilde),
-        [a for a, _ in keys], [matrices[n] for _, n in keys])
+    try:
+        results = pool_map(
+            lambda jobs: ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("fork")),
+            min(_default_jobs(), len(keys)), partial(_solve_cell, g_tilde),
+            [a for a, _ in keys], [matrices[n] for _, n in keys])
+    except BrokenProcessPool as exc:
+        raise SolverFailureError(f"a sweep worker died before its cell returned: {exc}") from exc
     for _, caught in results:
         _reissue(caught)
     return {key: cell for key, (cell, _) in zip(keys, results)}
@@ -141,7 +144,8 @@ def run_sweep(geom, g_tilde, alphas, resolutions):
     every column, while the system matrix is re-assembled per resolution.
     Solver failures are NaN cells with status ``"solver_failure"``, not
     raised.  The cells are solved by `_solve_cells`, costliest first: the
-    finest grid, and within it the smallest alpha.
+    finest grid, and within it the smallest alpha.  A worker process that
+    dies raises SolverFailureError, and the cells that did return are lost.
     """
     alphas = list(alphas)
     for alpha in alphas:

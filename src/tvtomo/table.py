@@ -1,9 +1,10 @@
-"""The (alpha, resolution) sweep table, built by `run_sweep` and
-`read_sweep_csv` alike through `SweepTable.from_cells`; each checks its
-cells with `check_cell`.  It imports only numpy and `errors`, so file I/O
-does not depend on the solver modules."""
+"""The (alpha, resolution) sweep table and `Cell`, the record of one cell,
+whose fields are the sweep CSV's columns after alpha and n.  Both `run_sweep`
+and `read_sweep_csv` build a table with `SweepTable.from_cells`.  It imports
+only numpy and `errors`, so file I/O does not depend on the solver modules."""
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,18 +17,28 @@ __all__ = ["SweepTable"]
 CELL_STATUSES = ("converged", "max_iterations", "solver_failure", "absent")
 
 
-def check_cell(alpha, n, tv, residual, iterations, status, error):
-    """Raise ``error`` unless this is a sweep cell: alpha a finite real > 0,
-    n an integer >= 1, tv and residual finite reals >= 0 or NaN (a failed or
-    absent cell), iterations an integer >= 0 and status in CELL_STATUSES."""
-    check_real("alpha", alpha, error)
-    check_count("n", n, 1, error)
-    for name, value in (("tv", tv), ("residual", residual)):
+class Cell(NamedTuple):
+    """One (alpha, n) cell of a sweep; each field is a `SweepTable` array."""
+
+    tv: float
+    residual: float
+    iterations: int
+    status: str
+
+
+def check_cell(key, cell):
+    """Raise ShapeMismatchError unless this is a sweep cell: in ``key`` alpha
+    a finite real > 0 and n an integer >= 1, in the `Cell` tv and residual
+    finite reals >= 0 or NaN (a failed or absent cell), iterations an
+    integer >= 0 and status in CELL_STATUSES."""
+    check_real("alpha", key[0], ShapeMismatchError)
+    check_count("n", key[1], 1, ShapeMismatchError)
+    for name, value in (("tv", cell.tv), ("residual", cell.residual)):
         if not np.isnan(value):
-            check_real(name, value, error, strict=False)
-    check_count("iterations", iterations, 0, error)
-    if status not in CELL_STATUSES:
-        raise error(f"status {status!r} is not one of {', '.join(CELL_STATUSES)}")
+            check_real(name, value, ShapeMismatchError, strict=False)
+    check_count("iterations", cell.iterations, 0, ShapeMismatchError)
+    if cell.status not in CELL_STATUSES:
+        raise ShapeMismatchError(f"status {cell.status!r} is not one of {', '.join(CELL_STATUSES)}")
 
 
 @dataclass(eq=False)
@@ -61,38 +72,35 @@ class SweepTable:
         if self.status is None:
             self.status = np.where(np.isnan(self.tv), "absent", "converged")
         # as objects, so a float or bool count is refused, not truncated
-        iterations = np.asarray(self.iterations, dtype=object)
+        self.iterations = np.asarray(self.iterations, dtype=object)
         self.status = np.asarray(self.status, dtype=object)
-        arrays = {"tv": self.tv, "residual": self.residual, "iterations": iterations,
-                  "status": self.status}
-        if 0 in shape or any(values.shape != shape for values in arrays.values()):
-            shapes = ", ".join(f"{name} {values.shape}" for name, values in arrays.items())
+        if 0 in shape or any(getattr(self, name).shape != shape for name in Cell._fields):
+            shapes = ", ".join(f"{name} {getattr(self, name).shape}" for name in Cell._fields)
             raise ShapeMismatchError(f"a table needs an alpha, a resolution and arrays of "
                                      f"shape {shape}, got {shapes}")
         if np.any(np.diff(self.alphas) <= 0) or np.any(np.diff(self.resolutions) <= 0):
             raise ShapeMismatchError("alphas and resolutions must be sorted strictly ascending")
-        for i, j in np.ndindex(shape):
-            check_cell(self.alphas[i], self.resolutions[j],
-                       *(values[i, j] for values in arrays.values()), ShapeMismatchError)
-        self.iterations = iterations.astype(int)
+        for key, cell in self.cells():
+            check_cell(key, cell)
+        self.iterations = self.iterations.astype(int)
 
     @classmethod
     def from_cells(cls, cells):
-        """Table from ``{(alpha, n): (tv, residual, iterations, status)}``.
-
-        The axes are the sorted distinct alphas and resolutions of the keys;
-        a cell with no key is NaN with status ``"absent"``.
-        """
+        """Table from ``{(alpha, n): Cell}``, or tuples of its fields, on the
+        sorted distinct alphas and resolutions of the keys; a cell with no key
+        is NaN with status ``"absent"``."""
         alphas = sorted({a for a, _ in cells})
         resolutions = sorted({n for _, n in cells})
-        shape = (len(alphas), len(resolutions))
-        tv, residual = np.full(shape, np.nan), np.full(shape, np.nan)
-        iterations, status = np.zeros(shape, dtype=object), np.full(shape, "absent", dtype=object)
-        for (alpha, n), cell in cells.items():
-            ij = alphas.index(alpha), resolutions.index(n)
-            tv[ij], residual[ij], iterations[ij], status[ij] = cell
-        # built last, so __post_init__ checks the cells' values too
-        return cls(alphas, resolutions, tv, residual, iterations, status)
+        absent = Cell(np.nan, np.nan, 0, "absent")
+        grid = [[Cell._make(cells.get((a, n), absent)) for n in resolutions] for a in alphas]
+        # one object array per field, so __post_init__ checks the cells' values as given
+        return cls(alphas, resolutions, *np.array(grid, dtype=object).transpose(2, 0, 1))
+
+    def cells(self):
+        """``((alpha, n), Cell)`` for every cell, row by row: the sweep CSV's row order."""
+        for i, j in np.ndindex(self.tv.shape):
+            yield ((self.alphas[i], self.resolutions[j]),
+                   Cell._make(getattr(self, name)[i, j] for name in Cell._fields))
 
     def column(self, n):
         if n not in self.resolutions:

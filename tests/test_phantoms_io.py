@@ -7,7 +7,7 @@ import pytest
 
 import tvtomo as tv
 from tvtomo.errors import FormatError, ParameterError
-from tvtomo.table import CELL_STATUSES
+from tvtomo.table import CELL_STATUSES, Cell
 
 
 class TestPhantoms:
@@ -321,6 +321,28 @@ class TestSweepCsv:
         for name in ("alphas", "tv", "residual", "iterations"):
             assert getattr(back, name).tobytes() == getattr(table, name).tobytes(), name
         assert back.status.tolist() == status.tolist()
+
+    def test_written_bytes(self, tmp_path):
+        """Every status, a NaN cell, an absent cell, repr-precision floats and
+        integer iterations, row by row, with the csv module's CRLF line ends."""
+        table = tv.SweepTable.from_cells({
+            (0.1, 8): (np.pi, 1.0 / 7.0, 12, "converged"),
+            (0.1, 16): (2.0, 0.5, 100, "max_iterations"),
+            (1.0 / 3.0, 8): (np.nan, np.nan, 0, "solver_failure"),
+            (7.0, 8): (0.0, 1.5e-07, 0, "converged"),
+            (7.0, 16): (12345.678, 2.5, 7, "converged"),
+        })
+        path = tmp_path / "sweep.csv"
+        tv.write_sweep_csv(path, table)
+        assert path.read_bytes() == (
+            b"alpha,n,tv,residual,iterations,status\r\n"
+            b"0.1,8,3.141592653589793,0.14285714285714285,12,converged\r\n"
+            b"0.1,16,2.0,0.5,100,max_iterations\r\n"
+            b"0.3333333333333333,8,nan,nan,0,solver_failure\r\n"
+            b"0.3333333333333333,16,nan,nan,0,absent\r\n"
+            b"7.0,8,0.0,1.5e-07,0,converged\r\n"
+            b"7.0,16,12345.678,2.5,7,converged\r\n")
+        assert tuple(path.read_text().splitlines()[0].split(",")) == ("alpha", "n") + Cell._fields
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "sweep.csv"

@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 import warnings
 from contextlib import nullcontext
 
@@ -11,8 +13,10 @@ from tvtomo.errors import (
     NoSelectionError,
     OutOfRangeError,
     ParameterError,
+    SolverFailureError,
 )
-from tvtomo.select import SweepTable, spread_profile, _curvature_samples
+from tvtomo.cli import main
+from tvtomo.select import SweepTable, spread_profile, _curvature_samples, _solve_cell
 
 ALPHAS_DECADES = 10.0 ** np.arange(-4, 7)
 
@@ -307,6 +311,20 @@ class TestLCurve:
         assert list(diag["alphas"]) == [0.01, 0.1, 1.0]
 
 
+_PARENT_PID = os.getpid()
+
+
+def _cell_whose_worker_dies(g_tilde, alpha, A):
+    """`select._solve_cell`, except that the worker of the (alpha 0.1, n 8)
+    cell dies without a Python exception.  It is a module-level function, so
+    the pool pickles it by name, and it fails in the calling process, so a
+    serial sweep fails the test instead of ending pytest."""
+    assert os.getpid() != _PARENT_PID, "a cell was solved in the calling process"
+    if (alpha, A.n) == (0.1, 8):
+        os._exit(9)
+    return _solve_cell(g_tilde, alpha, A)
+
+
 class TestRunSweep:
     @pytest.fixture
     def cpu_set(self, monkeypatch):
@@ -401,6 +419,25 @@ class TestRunSweep:
         assert np.all(np.isnan(table.tv[:2, 2]))
         with pytest.raises(NoSelectionError):
             tv.select_multiresolution(table)
+
+    def test_a_dead_worker_is_a_solver_failure(self, small_geom, monkeypatch, tmp_path, capfd):
+        """A forked worker that dies fails the sweep with SolverFailureError,
+        and `tvtomo sweep` exits 3 without a traceback and leaves no worker."""
+        monkeypatch.setattr(tv.select, "_default_jobs", lambda: 2)
+        monkeypatch.setattr(tv.select, "_solve_cell", _cell_whose_worker_dies)
+        g = tv.forward_project(tv.assemble_system_matrix(small_geom, 8),
+                               tv.render_phantom(tv.Phantom.disc(r=0.3), 8))
+        with pytest.raises(SolverFailureError, match="a sweep worker died before its cell"):
+            tv.run_sweep(small_geom, g, [0.01, 0.1, 1.0], [4, 8])
+        tv.write_sinogram(tmp_path / "g.sino", g)
+        capfd.readouterr()
+        assert main(["--out", str(tmp_path / "out"), "sweep", "--sino", str(tmp_path / "g.sino"),
+                     "--alphas", "0.01,0.1,1", "--resolutions", "4,8", "--angles", "8",
+                     "--detectors", "12"]) == 3
+        err = capfd.readouterr().err
+        assert "solver failure: a sweep worker died" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+        assert multiprocessing.active_children() == []
 
     def test_reissue_warns_from_a_file_no_module_has(self):
         """A warning whose file belongs to no loaded module keeps its file and line."""
